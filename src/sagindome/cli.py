@@ -13,6 +13,7 @@ from .geometry import half_power_beamwidth
 from .io import (
     Descriptor,
     dumps,
+    format_real,
     load_descriptor,
     parse_descriptor,
     points_to_csv,
@@ -22,11 +23,16 @@ from .io import (
 from .pointprocess import generate
 from .scenarios import Direction, Scenario, coverage, validate
 from .sweeps import (
+    MAX_SWEEP_STEPS,
     SweepParameter,
+    SweepRow,
     SweepScale,
     SweepSpec,
+    check_grid,
     expected_count,
     full_sphere_count,
+    grid_values,
+    invalid_values,
     parameter_applicable,
     run_sweep,
 )
@@ -45,13 +51,14 @@ _FLAG_TO_KEY = {
     "space_altitude_km": "space_altitude_km",
 }
 
-# CLI units for each sweepable parameter; angles enter in degrees and are
-# converted to the library's radians at this boundary.
-_SWEEP_PARAM_UNITS = {
-    SweepParameter.CARRIER_FREQUENCY: "Hz",
-    SweepParameter.MIN_ELEVATION: "degrees",
-    SweepParameter.AIR_ALTITUDE: "km",
-    SweepParameter.SPACE_ALTITUDE: "km",
+# The scenario flag each sweep parameter replaces, in CLI units; angles
+# enter in degrees and are converted to the library's radians at this
+# boundary.
+_SWEEP_PARAM_KEYS = {
+    SweepParameter.CARRIER_FREQUENCY: "carrier_frequency_hz",
+    SweepParameter.MIN_ELEVATION: "min_elevation_deg",
+    SweepParameter.AIR_ALTITUDE: "air_altitude_km",
+    SweepParameter.SPACE_ALTITUDE: "space_altitude_km",
 }
 
 
@@ -96,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="grid start (Hz, degrees, or km per --param)")
     swp.add_argument("--to", dest="sweep_to", type=float, required=True,
                      metavar="HIGH", help="grid end")
-    swp.add_argument("--steps", type=int, required=True)
+    swp.add_argument("--steps", type=int, required=True,
+                     help=f"grid points, 2 to {MAX_SWEEP_STEPS}")
     swp.add_argument("--scale", choices=[s.value for s in SweepScale],
                      default=SweepScale.LINEAR.value)
     swp.add_argument("--output", help="CSV path (default: standard output)")
@@ -166,37 +174,52 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _report_failed_rows(rows: list[SweepRow]) -> None:
+    """One stderr line with the count of failed rows and the first reason."""
+    failed = [row for row in rows if row.error is not None]
+    if failed:
+        first = failed[0]
+        print(f"warning: {len(failed)} of {len(rows)} sweep rows failed; first at "
+              f"param_value={format_real(first.parameter_value)}: {first.error}",
+              file=sys.stderr)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     parameter = SweepParameter(args.param)
-    flags = _flags_to_data(args)
-    # The swept parameter's own flag may be omitted; seed the base spec with
-    # the grid start so it validates.  Inapplicable parameters are left for
-    # SweepSpec to reject with the right diagnostic.
-    key = {
-        SweepParameter.CARRIER_FREQUENCY: "carrier_frequency_hz",
-        SweepParameter.MIN_ELEVATION: "min_elevation_deg",
-        SweepParameter.AIR_ALTITUDE: "air_altitude_km",
-        SweepParameter.SPACE_ALTITUDE: "space_altitude_km",
-    }[parameter]
-    if "scenario" in flags and parameter_applicable(parameter, Scenario(flags["scenario"])):
-        flags.setdefault(key, args.sweep_from)
-    descriptor = parse_descriptor(flags, earth_radius_override=args.earth_radius_km)
+    scale = SweepScale(args.scale)
+    # Checked in CLI units, before anything the size of the grid exists.
+    check_grid(args.sweep_from, args.sweep_to, args.steps, scale)
     low, high = args.sweep_from, args.sweep_to
+    to_flag = float
     if parameter is SweepParameter.MIN_ELEVATION:
-        low, high = math.radians(low), math.radians(high)
+        low, high, to_flag = math.radians(low), math.radians(high), math.degrees
+    flags = _flags_to_data(args)
+    # The swept parameter's flag, given or not, is set to the first grid
+    # value at which the scenario is valid (argmin of the invalid mask), so
+    # an invalid first grid point becomes a nan row like any other.  Without
+    # such a value the scenario is parsed at the grid start and its error
+    # ends the command.  Inapplicable parameters are left for SweepSpec.
+    if "scenario" in flags and parameter_applicable(parameter, Scenario(flags["scenario"])):
+        grid = grid_values(low, high, args.steps, scale)
+        first = invalid_values(parameter, grid, flags.get("air_altitude_km"),
+                               flags.get("space_altitude_km")).argmin()
+        flags[_SWEEP_PARAM_KEYS[parameter]] = to_flag(grid[first])
+    descriptor = parse_descriptor(flags, earth_radius_override=args.earth_radius_km)
     sweep = SweepSpec(
         base=descriptor.spec,
         parameter=parameter,
         low=low,
         high=high,
         steps=args.steps,
-        scale=SweepScale(args.scale),
+        scale=scale,
     )
-    text = sweep_rows_to_csv(run_sweep(sweep))
+    rows = run_sweep(sweep)
+    text = sweep_rows_to_csv(rows)
     if args.output:
         write_text_file(args.output, text)
     else:
         sys.stdout.write(text)
+    _report_failed_rows(rows)
     return EXIT_OK
 
 

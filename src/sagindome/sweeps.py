@@ -8,8 +8,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, SaginDomeError
-from .geometry import DomeGeometry
+from .geometry import CLAMP_TOLERANCE, DomeGeometry
 from .scenarios import Direction, Layer, ScenarioSpec, coverage
+
+# Largest grid a sweep may ask for.  Each step costs about half a kilobyte
+# at peak (float temporaries of the array pass, one SweepRow, its CSV line),
+# so a CLI sweep at the cap peaks near 0.6 GB.
+MAX_SWEEP_STEPS = 1_000_000
 
 
 class SweepParameter(Enum):
@@ -43,22 +48,32 @@ class SweepSpec:
         if not isinstance(self.parameter, SweepParameter):
             raise InvalidParameterError(
                 f"parameter must be a SweepParameter, got {self.parameter!r}")
-        if not isinstance(self.scale, SweepScale):
-            raise InvalidParameterError(f"scale must be a SweepScale, got {self.scale!r}")
-        if not self.low < self.high:
-            raise InvalidParameterError(
-                f"sweep range requires low < high, got low={self.low!r} high={self.high!r}")
-        if self.steps < 2:
-            raise InvalidParameterError(f"steps must be >= 2, got {self.steps!r}")
-        if self.scale is SweepScale.LOGARITHMIC and self.low <= 0.0:
-            raise InvalidParameterError("logarithmic sweeps require low > 0")
-        self._check_applicable()
-
-    def _check_applicable(self) -> None:
+        check_grid(self.low, self.high, self.steps, self.scale)
         if not parameter_applicable(self.parameter, self.base.scenario):
             raise InvalidParameterError(
                 f"parameter {self.parameter.value} is inapplicable to "
                 f"scenario {self.base.scenario.value}")
+
+
+def check_grid(low: float, high: float, steps: int, scale: SweepScale) -> None:
+    """Reject a grid before any of it is allocated.
+
+    The checks hold in any unit that preserves order and sign, so the CLI
+    runs them on its own degrees as well.
+    """
+    if not isinstance(scale, SweepScale):
+        raise InvalidParameterError(f"scale must be a SweepScale, got {scale!r}")
+    if not (low < high and math.isfinite(high - low)):
+        raise InvalidParameterError(
+            f"sweep range requires low < high and a finite high - low, "
+            f"got low={low!r} high={high!r}")
+    if steps < 2:
+        raise InvalidParameterError(f"steps must be >= 2, got {steps!r}")
+    if steps > MAX_SWEEP_STEPS:
+        raise InvalidParameterError(
+            f"steps must be <= {MAX_SWEEP_STEPS}, got {steps!r}")
+    if scale is SweepScale.LOGARITHMIC and low <= 0.0:
+        raise InvalidParameterError("logarithmic sweeps require low > 0")
 
 
 def parameter_applicable(parameter: SweepParameter, scenario) -> bool:
@@ -84,10 +99,15 @@ class SweepRow:
     error: str | None = None
 
 
+def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> np.ndarray:
+    """The grid of a range that passed ``check_grid``."""
+    if scale is SweepScale.LOGARITHMIC:
+        return np.geomspace(low, high, steps)
+    return np.linspace(low, high, steps)
+
+
 def sweep_grid(spec: SweepSpec) -> np.ndarray:
-    if spec.scale is SweepScale.LOGARITHMIC:
-        return np.geomspace(spec.low, spec.high, spec.steps)
-    return np.linspace(spec.low, spec.high, spec.steps)
+    return grid_values(spec.low, spec.high, spec.steps, spec.scale)
 
 
 def _with_parameter(base: ScenarioSpec, parameter: SweepParameter,
@@ -102,18 +122,124 @@ def _with_parameter(base: ScenarioSpec, parameter: SweepParameter,
     return dataclasses.replace(base, space_altitude_km=value)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate coverage at each grid point, in grid order."""
-    rows: list[SweepRow] = []
-    for value in sweep_grid(spec):
-        value = float(value)
-        try:
-            dome: DomeGeometry = coverage(_with_parameter(spec.base, spec.parameter, value))
-        except SaginDomeError as exc:
-            rows.append(SweepRow(value, math.nan, math.nan, False, error=str(exc)))
+def invalid_values(parameter: SweepParameter, values: np.ndarray,
+                   air_altitude_km: float | None,
+                   space_altitude_km: float | None) -> np.ndarray:
+    """Mask of the grid values (library units) that make the scenario itself
+    invalid: the checks of ScenarioSpec and AntennaConfig that involve the
+    swept value.  The altitude of the swept layer is ignored; an altitude is
+    None for a layer the scenario lacks.
+    """
+    if parameter is SweepParameter.MIN_ELEVATION:
+        return ~((values >= 0.0) & (values <= 0.5 * math.pi))
+    invalid = ~(values > 0.0)
+    if parameter is SweepParameter.AIR_ALTITUDE and space_altitude_km is not None:
+        invalid |= values >= space_altitude_km
+    if parameter is SweepParameter.SPACE_ALTITUDE and air_altitude_km is not None:
+        invalid |= air_altitude_km >= values
+    return invalid
+
+
+def _acos_clamped(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """arccos of ``delta`` clamped to [-1, 1] as ``geometry._clamp_cosine``
+    does, plus the mask of arguments outside it beyond CLAMP_TOLERANCE."""
+    beyond = (delta - 1.0 > CLAMP_TOLERANCE) | (-1.0 - delta > CLAMP_TOLERANCE)
+    return np.arccos(np.clip(delta, -1.0, 1.0)), beyond
+
+
+def _evaluate(spec: SweepSpec, values: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``coverage`` at every grid value in one array pass.
+
+    Returns (vertex angle, area, tangent_limited, irregular).  The closed
+    forms and their operation order are those of ``coverage``; only the
+    transcendental functions come from numpy instead of ``math``.  Squares
+    go through ``np.float_power``, the C library's ``pow`` that Python's
+    ``x ** 2`` calls, because ``x * x`` differs from it in the last bit for
+    about one value in a thousand, and arccos near 1 magnifies that.  An
+    ``irregular`` row is one the scalar path rejects (an invalid scenario,
+    radii in the wrong order, which float rounding allows for tiny
+    altitudes, a beam outside (0, pi), a clamp exceeded beyond tolerance) or
+    whose result is not finite; its other columns are meaningless.
+    """
+    base, parameter = spec.base, spec.parameter
+
+    def field(swept: SweepParameter, fixed):
+        return values if parameter is swept else fixed
+
+    def radius(layer: Layer) -> np.ndarray:
+        # An array even when fixed, so that ``~`` below negates a numpy
+        # bool and never a Python one (~True is -2).
+        earth = base.constants.earth_radius_km
+        if layer is Layer.GROUND:
+            return np.asarray(earth)
+        if layer is Layer.AIR:
+            return np.asarray(earth + field(SweepParameter.AIR_ALTITUDE, base.air_altitude_km))
+        return np.asarray(earth + field(SweepParameter.SPACE_ALTITUDE, base.space_altitude_km))
+
+    irregular = invalid_values(parameter, values, base.air_altitude_km,
+                               base.space_altitude_km)
+    r_t = radius(base.scenario.transmitter_layer)
+    r_r = radius(base.scenario.receiver_layer)
+    with np.errstate(all="ignore"):
+        if base.scenario.direction is Direction.UPLINK:
+            antenna = base.antenna
+            frequency = field(SweepParameter.CARRIER_FREQUENCY, antenna.carrier_frequency_hz)
+            beamwidth = np.radians(
+                antenna.illumination_coefficient * base.constants.light_speed_m_per_s
+                / (frequency * antenna.reflector_diameter_m))
+            half = 0.5 * beamwidth
+            ratio = r_t / r_r
+            tangent = half > np.arcsin(ratio)
+            k = r_r / r_t
+            s = np.sin(half)
+            radicand = 1.0 - np.float_power(k * s, 2.0)
+            delta = k * s * s + np.cos(half) * np.sqrt(np.maximum(radicand, 0.0))
+            phi, beyond = _acos_clamped(delta)
+            phi = np.where(tangent, np.arccos(ratio), phi)
+            irregular = (irregular | ~(r_t > 0.0) | (r_t >= r_r)
+                         | ~((beamwidth > 0.0) & (beamwidth < math.pi))
+                         | (~tangent & ((-radicand > CLAMP_TOLERANCE) | beyond)))
         else:
-            rows.append(SweepRow(value, dome.vertex_angle_rad, dome.area_km2,
-                                 dome.tangent_limited))
+            elevation = field(SweepParameter.MIN_ELEVATION, base.min_elevation_rad)
+            k = r_r / r_t
+            c = np.cos(elevation)
+            radicand = 1.0 - np.float_power(k * c, 2.0)
+            delta = k * c * c + np.sin(elevation) * np.sqrt(np.maximum(radicand, 0.0))
+            phi, beyond = _acos_clamped(delta)
+            tangent = False
+            irregular = (irregular | ~(r_r > 0.0) | (r_r >= r_t)
+                         | (-radicand > CLAMP_TOLERANCE) | beyond)
+        half_sin = np.sin(0.5 * phi)
+        area = 4.0 * math.pi * r_t * r_t * half_sin * half_sin
+    irregular = irregular | ~np.isfinite(phi) | ~np.isfinite(area)
+    shape = values.shape
+    return (np.broadcast_to(phi, shape), np.broadcast_to(area, shape),
+            np.broadcast_to(tangent, shape), np.broadcast_to(irregular, shape))
+
+
+def _scalar_row(spec: SweepSpec, value: float) -> SweepRow:
+    """One grid point through the scalar ``coverage`` path."""
+    try:
+        dome: DomeGeometry = coverage(_with_parameter(spec.base, spec.parameter, value))
+    except SaginDomeError as exc:
+        return SweepRow(value, math.nan, math.nan, False, error=str(exc))
+    return SweepRow(value, dome.vertex_angle_rad, dome.area_km2, dome.tangent_limited)
+
+
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate coverage at each grid point, in grid order.
+
+    The grid is evaluated in one array pass.  Rows the pass marks irregular
+    are evaluated again by the scalar ``coverage`` path, which supplies the
+    ``error`` text of every failed row.
+    """
+    values = sweep_grid(spec)
+    phi, area, tangent, irregular = _evaluate(spec, values)
+    rows = [SweepRow(*row) for row in
+            zip(values.tolist(), phi.tolist(), area.tolist(), tangent.tolist())]
+    for index in np.flatnonzero(irregular).tolist():
+        rows[index] = _scalar_row(spec, rows[index].parameter_value)
     return rows
 
 

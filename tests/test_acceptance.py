@@ -7,14 +7,17 @@ calibration.
 
 import functools
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import sagindome
 from sagindome import (
     SampleConfig,
     SampleMode,
@@ -204,13 +207,17 @@ def test_criterion_10_reproducibility(tmp_path):
         '{"scenario": "s2g", "space_altitude_km": 600, "min_elevation_deg": 10,\n'
         ' "density_per_km2": 5e-6, "rx_azimuth_deg": 137, "rx_polar_deg": 63,\n'
         ' "seed": 20240615}\n')
+    # The child runs the package this test imported, whatever put it on the path.
+    package_root = str(Path(sagindome.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     outputs = []
     for name in ("first.csv", "second.csv"):
         target = tmp_path / name
         completed = subprocess.run(
             [sys.executable, "-m", "sagindome", "sample",
              "--descriptor", str(descriptor), "--output", str(target)],
-            capture_output=True, text=True, check=False)
+            capture_output=True, text=True, check=False, env=env)
         assert completed.returncode == 0, completed.stderr
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1]

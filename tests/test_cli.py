@@ -1,11 +1,24 @@
 """End-to-end command-line behaviour: payloads, exit codes, reproducibility."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from sagindome import cap_area
+from sagindome import (
+    AntennaConfig,
+    Scenario,
+    ScenarioSpec,
+    SweepParameter,
+    SweepScale,
+    SweepSpec,
+    cap_area,
+    run_sweep,
+)
 from sagindome.cli import main
+from sagindome.io import sweep_rows_to_csv
+from sagindome.sweeps import MAX_SWEEP_STEPS
 
 S2G_DESCRIPTOR = """{
   "scenario": "s2g",
@@ -172,6 +185,79 @@ class TestSweepCommand:
         content = target.read_bytes()
         assert content.startswith(b"param_value,")
         assert b"\r" not in content
+
+
+    S2A_SPACE_SWEEP = [
+        "sweep", "--scenario", "s2a", "--air-altitude-km", "10",
+        "--min-elevation-deg", "10", "--param", "space_altitude", "--steps", "10"]
+
+    def test_invalid_first_grid_point_is_a_nan_row(self, capsys):
+        # Space altitude 1 km lies below the 10 km air layer: that row fails,
+        # the other nine are evaluated.
+        code, out, err = run_cli([*self.S2A_SPACE_SWEEP, "--from", "1", "--to", "35786"],
+                                 capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 10
+        assert rows[0] == ["1", "nan", "nan", "false"]
+        assert all(math.isfinite(float(row[2])) for row in rows[1:])
+        assert err.count("\n") == 1 and "1 of 10 sweep rows failed" in err
+
+    def test_fixed_flags_invalid_at_every_grid_point_exit_2(self, capsys):
+        code, out, err = run_cli([*self.S2A_SPACE_SWEEP, "--from", "1", "--to", "5"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: air_altitude_km=10.0 must be below "
+                       "space_altitude_km=1.0\n")
+
+    def test_invalid_fixed_flag_exit_2(self, capsys):
+        code, _, err = run_cli([
+            "sweep", "--scenario", "g2s", "--space-altitude-km", "20000",
+            "--illumination-coefficient", "70", "--reflector-diameter-m", "-4",
+            "--param", "carrier_frequency", "--from", "2e9", "--to", "40e9",
+            "--steps", "3"], capsys)
+        assert code == 2
+        assert err == "error: reflector_diameter_m must be > 0, got -4.0\n"
+
+    @pytest.mark.parametrize("steps", [str(MAX_SWEEP_STEPS + 1), "10" + "0" * 15])
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_steps_above_the_cap_exit_2_before_allocating(self, steps, scale, capsys,
+                                                          monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid must not be built")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "geomspace", refuse)
+        code, out, err = run_cli([
+            "sweep", *G2S_MEO_FLAGS, "--param", "carrier_frequency",
+            "--from", "2e9", "--to", "40e9", "--steps", steps, "--scale", scale], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: steps must be <= {MAX_SWEEP_STEPS}, got {steps}\n"
+
+    def test_failed_rows_reported_on_stderr(self, capsys):
+        # The grid of tests/test_sweeps.py: below ~583 MHz the beam is wider
+        # than 180 degrees.
+        code, out, err = run_cli([
+            "sweep", "--scenario", "g2a", "--air-altitude-km", "5",
+            "--illumination-coefficient", "70", "--reflector-diameter-m", "0.2",
+            "--param", "carrier_frequency", "--from", "300e6", "--to", "2.4e9",
+            "--steps", "22", "--scale", "log"], capsys)
+        rows = run_sweep(SweepSpec(
+            ScenarioSpec(Scenario.G2A, air_altitude_km=5.0,
+                         antenna=AntennaConfig(70.0, 0.2, 2e9)),
+            SweepParameter.CARRIER_FREQUENCY, 300e6, 2.4e9, 22, SweepScale.LOGARITHMIC))
+        failed = [row for row in rows if row.error is not None]
+        assert code == 0
+        assert out == sweep_rows_to_csv(rows)
+        assert len(failed) == 7
+        assert err == (f"warning: 7 of 22 sweep rows failed; first at "
+                       f"param_value=300000000: {failed[0].error}\n")
+        assert failed[0].error.startswith("beamwidth_rad must lie in (0, pi)")
+
+    def test_no_report_without_failed_rows(self, capsys):
+        code, _, err = run_cli([
+            "sweep", *G2S_MEO_FLAGS, "--param", "carrier_frequency",
+            "--from", "2e9", "--to", "40e9", "--steps", "5"], capsys)
+        assert code == 0 and err == ""
 
 
 class TestSampleCommand:

@@ -20,6 +20,8 @@ from sagindome import (
     relay_path_count,
     run_sweep,
 )
+from sagindome import sweeps
+from sagindome.sweeps import MAX_SWEEP_STEPS
 from conftest import reference_spec
 
 
@@ -38,6 +40,19 @@ class TestSweepSpecValidation:
         with pytest.raises(InvalidParameterError):
             SweepSpec(reference_spec(Scenario.G2S), SweepParameter.CARRIER_FREQUENCY,
                       2e9, 40e9, 1)
+
+    def test_steps_capped(self):
+        spec = reference_spec(Scenario.G2S)
+        SweepSpec(spec, SweepParameter.CARRIER_FREQUENCY, 2e9, 40e9, MAX_SWEEP_STEPS)
+        with pytest.raises(InvalidParameterError, match=f"steps must be <= {MAX_SWEEP_STEPS}"):
+            SweepSpec(spec, SweepParameter.CARRIER_FREQUENCY, 2e9, 40e9, MAX_SWEEP_STEPS + 1)
+
+    @pytest.mark.parametrize("low,high", [(2e9, math.inf), (-math.inf, 40e9), (math.nan, 40e9),
+                                          (-1.7e308, 1.7e308)])
+    def test_range_must_be_finite(self, low, high):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            SweepSpec(reference_spec(Scenario.G2S), SweepParameter.CARRIER_FREQUENCY,
+                      low, high, 10)
 
     def test_log_scale_needs_positive_low(self):
         with pytest.raises(InvalidParameterError):
@@ -114,6 +129,28 @@ class TestRunSweep:
         assert all(math.isnan(row.area_km2) for row in failed)
         assert all(row.parameter_value < 583.1e6 for row in failed)
         assert all(row.area_km2 > 0 for row in succeeded)
+
+    @pytest.mark.parametrize("scenario,parameter,low,high,failures", [
+        # Air altitudes from 1 km up past the 20000 km space layer.
+        (Scenario.A2S, SweepParameter.AIR_ALTITUDE, 1.0, 30000.0, 100),
+        (Scenario.G2A, SweepParameter.CARRIER_FREQUENCY, 300e6, 2.4e9, 41),
+        (Scenario.G2S, SweepParameter.CARRIER_FREQUENCY, 1e8, 40e9, 0),
+        (Scenario.S2G, SweepParameter.MIN_ELEVATION, 0.0, 0.5 * math.pi, 0),
+        (Scenario.S2A, SweepParameter.SPACE_ALTITUDE, 1.0, 35786.0, 1),
+        (Scenario.A2G, SweepParameter.AIR_ALTITUDE, 1.0, 50.0, 0),
+    ])
+    def test_scalar_path_runs_only_for_failed_rows(self, monkeypatch, scenario, parameter,
+                                                   low, high, failures):
+        calls = []
+
+        def counting_coverage(spec):
+            calls.append(spec)
+            return coverage(spec)
+
+        monkeypatch.setattr(sweeps, "coverage", counting_coverage)
+        rows = run_sweep(SweepSpec(reference_spec(scenario), parameter, low, high, 300))
+        assert sum(row.error is not None for row in rows) == failures
+        assert len(calls) <= failures
 
     def test_deterministic(self):
         spec = SweepSpec(reference_spec(Scenario.S2G), SweepParameter.MIN_ELEVATION,
