@@ -16,8 +16,8 @@ from .io import (
     format_real,
     load_descriptor,
     parse_descriptor,
-    points_to_csv,
-    sweep_rows_to_csv,
+    points_csv_chunks,
+    sweep_csv_chunks,
     write_text_file,
 )
 from .pointprocess import generate
@@ -41,15 +41,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_OUTPUT_ERROR = 3
 
-_FLAG_TO_KEY = {
-    "scenario": "scenario",
-    "carrier_frequency_hz": "carrier_frequency_hz",
-    "illumination_coefficient": "illumination_coefficient",
-    "reflector_diameter_m": "reflector_diameter_m",
-    "min_elevation_deg": "min_elevation_deg",
-    "air_altitude_km": "air_altitude_km",
-    "space_altitude_km": "space_altitude_km",
-}
+# Descriptor keys that have an inline flag; each flag's dest is its key.
+_SCENARIO_KEYS = ("scenario", "carrier_frequency_hz", "illumination_coefficient",
+                  "reflector_diameter_m", "min_elevation_deg", "air_altitude_km",
+                  "space_altitude_km")
 
 # The scenario flag each sweep parameter replaces, in CLI units; angles
 # enter in degrees and are converted to the library's radians at this
@@ -64,12 +59,8 @@ _SWEEP_PARAM_KEYS = {
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", choices=sorted(s.value for s in Scenario))
-    parser.add_argument("--carrier-frequency-hz", type=float)
-    parser.add_argument("--illumination-coefficient", type=float)
-    parser.add_argument("--reflector-diameter-m", type=float)
-    parser.add_argument("--min-elevation-deg", type=float)
-    parser.add_argument("--air-altitude-km", type=float)
-    parser.add_argument("--space-altitude-km", type=float)
+    for key in _SCENARIO_KEYS[1:]:
+        parser.add_argument("--" + key.replace("_", "-"), type=float)
 
 
 def _add_earth_radius_flag(parser: argparse.ArgumentParser) -> None:
@@ -125,12 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flags_to_data(args: argparse.Namespace) -> dict:
-    data = {}
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr)
-        if value is not None:
-            data[key] = value
-    return data
+    return {key: getattr(args, key) for key in _SCENARIO_KEYS
+            if getattr(args, key) is not None}
 
 
 def _descriptor_from_args(args: argparse.Namespace) -> Descriptor:
@@ -214,11 +201,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scale=scale,
     )
     rows = run_sweep(sweep)
-    text = sweep_rows_to_csv(rows)
     if args.output:
-        write_text_file(args.output, text)
+        write_text_file(args.output, sweep_csv_chunks(rows))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(sweep_csv_chunks(rows))
     _report_failed_rows(rows)
     return EXIT_OK
 
@@ -229,7 +215,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     config = descriptor.sample_config()
     dome = coverage(descriptor.spec)
     topology = generate(dome, config)
-    write_text_file(args.output, points_to_csv(topology))
+    write_text_file(args.output, points_csv_chunks(topology))
     print(dumps({
         "count": topology.count,
         "area_km2": dome.area_km2,

@@ -111,8 +111,9 @@ class DomeGeometry:
                 f"vertex_angle_rad must lie in [0, pi], got {self.vertex_angle_rad!r}")
         if not -1.0 <= self.delta <= 1.0:
             raise InvalidParameterError(f"delta must lie in [-1, 1], got {self.delta!r}")
-        if self.area_km2 < 0.0:
-            raise InvalidParameterError(f"area_km2 must be >= 0, got {self.area_km2!r}")
+        if not (math.isfinite(self.area_km2) and self.area_km2 >= 0.0):
+            raise InvalidParameterError(
+                f"area_km2 must be finite and >= 0, got {self.area_km2!r}")
 
 
 def half_power_beamwidth(antenna: AntennaConfig,

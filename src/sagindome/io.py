@@ -9,9 +9,10 @@ reproduces the underlying doubles bit for bit.
 import json
 import math
 import os
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import DescriptorError, OutputError
+from .errors import DescriptorError, InvalidParameterError, OutputError
 from .geometry import DEFAULT_EARTH_RADIUS_KM, AntennaConfig, PhysicalConstants
 from .pointprocess import DEFAULT_RNG_ALGORITHM, SampleConfig, SampleMode, Topology
 from .scenarios import Direction, Layer, Scenario, ScenarioSpec
@@ -29,6 +30,11 @@ _KNOWN_KEYS = frozenset({
 
 SWEEP_CSV_HEADER = "param_value,vertex_angle_rad,area_km2,tangent_limited"
 POINTS_CSV_HEADER = "x_km,y_km,z_km"
+
+# Rows formatted by one % call.  Large enough that the per-block Python
+# overhead vanishes, small enough that a block of points (about 0.9 MB of
+# text plus its tuple of floats) stays small next to the whole CSV.
+_CHUNK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -204,7 +210,8 @@ def dumps(payload: object, indent: int = 0) -> str:
     """Serialize to JSON with every real at 17 significant digits.
 
     The stdlib encoder prints floats via repr; this tiny writer exists only
-    to pin the real-number format.
+    to pin the real-number format.  JSON has no token for inf or nan, so a
+    non-finite float is refused rather than written.
     """
     pad = "  " * indent
     if isinstance(payload, dict):
@@ -224,40 +231,67 @@ def dumps(payload: object, indent: int = 0) -> str:
     if isinstance(payload, int):
         return str(payload)
     if isinstance(payload, float):
+        if not math.isfinite(payload):
+            raise InvalidParameterError(
+                f"cannot write the non-finite number {payload!r} as JSON")
         return format_real(payload)
     if payload is None:
         return "null"
     return json.dumps(str(payload))
 
 
-def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
-    """Sweep rows as CSV text (LF line endings, dot decimal separator).
+def _csv_chunks(header: str, row_template: str, rows: Sequence,
+                flatten: Callable[[Sequence], list]) -> Iterator[str]:
+    """The header line, then the rows as text, _CHUNK_ROWS rows at a time.
+
+    Each block is one ``%`` over ``row_template`` repeated once per row;
+    ``flatten`` turns a block of rows into the flat list of its values.
+    ``"%.17g" % x`` and ``format_real(x)`` make the same C call
+    (``PyOS_double_to_string(x, 'g', 17, 0)``), so the text is the same.
+    """
+    yield header + "\n"
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        block = rows[start:start + _CHUNK_ROWS]
+        yield (row_template * len(block)) % tuple(flatten(block))
+
+
+def _sweep_values(rows: Sequence[SweepRow]) -> list:
+    return [value for row in rows for value in (
+        row.parameter_value, row.vertex_angle_rad, row.area_km2,
+        "true" if row.tangent_limited else "false")]
+
+
+def sweep_csv_chunks(rows: Sequence[SweepRow]) -> Iterator[str]:
+    """Sweep rows as CSV text in chunks (LF line endings, dot decimal
+    separator).
 
     Failed grid points keep their parameter value and carry nan in the
     numeric columns so plotting pipelines skip them naturally.
     """
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(",".join((
-            format_real(row.parameter_value),
-            format_real(row.vertex_angle_rad),
-            format_real(row.area_km2),
-            "true" if row.tangent_limited else "false",
-        )))
-    return "\n".join(lines) + "\n"
+    return _csv_chunks(SWEEP_CSV_HEADER, "%.17g,%.17g,%.17g,%s\n", rows, _sweep_values)
+
+
+def points_csv_chunks(topology: Topology) -> Iterator[str]:
+    """Topology points as CSV text in chunks, one x,y,z row per point."""
+    return _csv_chunks(POINTS_CSV_HEADER, "%.17g,%.17g,%.17g\n", topology.points,
+                       lambda block: block.ravel().tolist())
+
+
+def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
+    """The whole text of ``sweep_csv_chunks``."""
+    return "".join(sweep_csv_chunks(rows))
 
 
 def points_to_csv(topology: Topology) -> str:
-    """Topology points as CSV text, one x,y,z row per point."""
-    lines = [POINTS_CSV_HEADER]
-    for x, y, z in topology.points:
-        lines.append(f"{format_real(x)},{format_real(y)},{format_real(z)}")
-    return "\n".join(lines) + "\n"
+    """The whole text of ``points_csv_chunks``."""
+    return "".join(points_csv_chunks(topology))
 
 
-def write_text_file(path: str, text: str) -> None:
+def write_text_file(path: str, text: str | Iterable[str]) -> None:
+    """Write a string, or an iterable of chunks each as it comes."""
+    chunks = (text,) if isinstance(text, str) else text
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc

@@ -32,6 +32,11 @@ DEFAULT_RNG_ALGORITHM = "pcg64"
 # transformed rejection.
 _POISSON_REJECTION_THRESHOLD = 30
 
+# Largest Poisson mean a topology may be drawn with.  ``generate`` peaks at
+# 72 bytes per point (the unrotated and rotated coordinates side by side),
+# so a draw at the cap holds about 0.7 GB.
+MAX_SAMPLE_POINTS = 10_000_000
+
 
 class SampleMode(Enum):
     """How polar angles are drawn inside the cap.
@@ -194,14 +199,21 @@ def _poisson_ptrs(mean: int, rng: np.random.Generator) -> int:
 
 def poisson_count(density_per_km2: float, area_km2: float,
                   rng: np.random.Generator) -> int:
-    """Poisson node count with mean floor(density * area)."""
+    """Poisson node count with mean floor(density * area); a mean above
+    MAX_SAMPLE_POINTS is refused."""
     if not (math.isfinite(density_per_km2) and density_per_km2 >= 0.0):
         raise InvalidParameterError(
             f"density_per_km2 must be finite and >= 0, got {density_per_km2!r}")
     if not (math.isfinite(area_km2) and area_km2 >= 0.0):
         raise InvalidParameterError(
             f"area_km2 must be finite and >= 0, got {area_km2!r}")
-    mean = int(math.floor(density_per_km2 * area_km2))
+    # Checked before any draw, so accepted inputs consume the stream as before.
+    product = density_per_km2 * area_km2
+    if not (math.isfinite(product) and math.floor(product) <= MAX_SAMPLE_POINTS):
+        raise InvalidParameterError(
+            f"Poisson mean floor(density * area) must be <= {MAX_SAMPLE_POINTS}, "
+            f"got density * area = {product!r}")
+    mean = int(math.floor(product))
     if mean == 0:
         return 0
     if mean < _POISSON_REJECTION_THRESHOLD:

@@ -250,6 +250,10 @@ def expected_count(dome: DomeGeometry, density_per_km2: float) -> tuple[float, i
         raise InvalidParameterError(
             f"density_per_km2 must be finite and >= 0, got {density_per_km2!r}")
     product = density_per_km2 * dome.area_km2
+    if not math.isfinite(product):
+        raise InvalidParameterError(
+            f"expected count density * area overflows: {density_per_km2!r} * "
+            f"{dome.area_km2!r}")
     return product, int(math.floor(product))
 
 
@@ -260,7 +264,12 @@ def full_sphere_count(radius_km: float, density_per_km2: float) -> float:
     if not (math.isfinite(density_per_km2) and density_per_km2 >= 0.0):
         raise InvalidParameterError(
             f"density_per_km2 must be finite and >= 0, got {density_per_km2!r}")
-    return 4.0 * math.pi * radius_km * radius_km * density_per_km2
+    count = 4.0 * math.pi * radius_km * radius_km * density_per_km2
+    if not math.isfinite(count):
+        raise InvalidParameterError(
+            f"full-sphere count 4*pi*r^2 * density overflows: radius_km={radius_km!r}, "
+            f"density_per_km2={density_per_km2!r}")
+    return count
 
 
 def relay_path_count(count_hop1: float, count_hop2: float) -> float:

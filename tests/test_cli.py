@@ -16,8 +16,10 @@ from sagindome import (
     cap_area,
     run_sweep,
 )
+from sagindome import pointprocess
 from sagindome.cli import main
 from sagindome.io import sweep_rows_to_csv
+from sagindome.pointprocess import MAX_SAMPLE_POINTS
 from sagindome.sweeps import MAX_SWEEP_STEPS
 
 S2G_DESCRIPTOR = """{
@@ -117,6 +119,13 @@ class TestCoverageCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_infinite_area_exit_2(self, capsys):
+        code, out, err = run_cli(["coverage", "--scenario", "s2g",
+                                  "--space-altitude-km", "1e308",
+                                  "--min-elevation-deg", "10"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: area_km2 must be finite and >= 0, got inf\n"
 
     def test_descriptor_and_flags_conflict(self, s2g_descriptor, capsys):
         code, _, err = run_cli(["coverage", "--descriptor", s2g_descriptor,
@@ -302,6 +311,27 @@ class TestSampleCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("density", ["1e3", "1e308"])
+    def test_poisson_mean_above_the_cap_exit_2_before_drawing(self, density, tmp_path,
+                                                              capsys, monkeypatch):
+        # 1e3 per km^2 on this dome is a mean of 11 588 409 182 points (about
+        # 278 GB of coordinates); 1e308 overflows the mean to inf.
+        class Refuse:
+            def random(self, *args, **kwargs):
+                raise AssertionError("nothing may be drawn")
+
+        monkeypatch.setattr(pointprocess, "make_rng", lambda *args: Refuse())
+        descriptor = tmp_path / "dense.json"
+        descriptor.write_text(S2G_DESCRIPTOR.replace("5e-6", density))
+        target = tmp_path / "points.csv"
+        code, out, err = run_cli(["sample", "--descriptor", str(descriptor),
+                                  "--output", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: Poisson mean floor(density * area) must be "
+                              f"<= {MAX_SAMPLE_POINTS}, got density * area = ")
+        assert err.count("\n") == 1
+        assert not target.exists()
+
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         descriptor = tmp_path / "noseed.json"
         descriptor.write_text('{"scenario": "s2g", "space_altitude_km": 600, '
@@ -339,6 +369,15 @@ class TestCountCommand:
         assert payload["exact_product"] == 0.0
         assert payload["poisson_mean"] == 0
         assert payload["full_sphere_count"] == 0.0
+
+    @pytest.mark.parametrize("density, what", [("1e300", "full-sphere count"),
+                                                ("1e308", "expected count")])
+    def test_overflowing_count_exit_2(self, density, what, tmp_path, capsys):
+        descriptor = tmp_path / "dense.json"
+        descriptor.write_text(S2G_DESCRIPTOR.replace("5e-6", density))
+        code, out, err = run_cli(["count", "--descriptor", str(descriptor)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {what}") and err.count("\n") == 1
 
     def test_missing_density_exits_2(self, tmp_path, capsys):
         descriptor = tmp_path / "nodensity.json"

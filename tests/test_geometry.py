@@ -14,6 +14,7 @@ from scipy import integrate
 
 from sagindome import (
     AntennaConfig,
+    DomeGeometry,
     InvalidGeometryError,
     InvalidParameterError,
     NumericDomainError,
@@ -218,6 +219,18 @@ class TestCapArea:
             cap_area(6371.0, -0.1)
         with pytest.raises(InvalidParameterError):
             cap_area(6371.0, math.pi + 0.1)
+
+
+class TestDomeGeometry:
+    @pytest.mark.parametrize("field", ["vertex_angle_rad", "area_km2"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_or_area_rejected(self, field, value):
+        fields = dict(transmitter_radius_km=6971.0, receiver_radius_km=6371.0,
+                      vertex_angle_rad=0.27, delta=math.cos(0.27), area_km2=1.1e7,
+                      tangent_limited=False)
+        DomeGeometry(**fields)
+        with pytest.raises(InvalidParameterError, match=field):
+            DomeGeometry(**dict(fields, **{field: value}))
 
 
 class TestCapAreaSmallAngle:

@@ -1,30 +1,44 @@
 """Descriptor parsing, 17-significant-digit formatting, and CSV writers."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sagindome import (
     DescriptorError,
+    InvalidParameterError,
+    SampleConfig,
     SampleMode,
     Scenario,
+    Topology,
     coverage,
     generate,
     load_descriptor,
     parse_descriptor,
 )
+from sagindome.cli import main
 from sagindome.io import (
+    _CHUNK_ROWS,
     ENV_EARTH_RADIUS,
     POINTS_CSV_HEADER,
     SWEEP_CSV_HEADER,
     dumps,
     format_real,
+    points_csv_chunks,
     points_to_csv,
+    sweep_csv_chunks,
     sweep_rows_to_csv,
+    write_text_file,
 )
 from sagindome.sweeps import SweepRow
+from conftest import reference_spec
 
 S2G_DATA = {
     "scenario": "s2g",
@@ -185,6 +199,11 @@ class TestFormatting:
                           "e": [1.5, {"f": "text"}], "g": {}}
         assert "0.10000000000000001" in text
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_dumps_refuses_non_finite_reals(self, value):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            dumps({"counts": [1.0, {"full_sphere_count": value}]})
+
     def test_dumps_is_locale_free_ascii(self):
         text = dumps({"x": 1234567.25})
         assert "," not in text.replace(",\n", "\n")
@@ -219,3 +238,135 @@ class TestCsvWriters:
         dome = coverage(s2g_spec)
         topology = generate(dome, SampleConfig(density_per_km2=0.0, seed=3))
         assert points_to_csv(topology) == POINTS_CSV_HEADER + "\n"
+
+
+# Values whose text is easy to get wrong: nan, both infinities, negative
+# zero, the smallest subnormal and the largest double.
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16]
+
+
+def per_value_points_csv(points) -> str:
+    """The CSV as written one ``format_real`` call per value."""
+    lines = [POINTS_CSV_HEADER]
+    for x, y, z in points:
+        lines.append(f"{format_real(x)},{format_real(y)},{format_real(z)}")
+    return "\n".join(lines) + "\n"
+
+
+def per_value_sweep_csv(rows) -> str:
+    lines = [SWEEP_CSV_HEADER]
+    for row in rows:
+        lines.append(",".join((
+            format_real(row.parameter_value), format_real(row.vertex_angle_rad),
+            format_real(row.area_km2), "true" if row.tangent_limited else "false")))
+    return "\n".join(lines) + "\n"
+
+
+def topology_of(points: np.ndarray) -> Topology:
+    dome = coverage(reference_spec(Scenario.S2G))
+    return Topology(points=points, count=len(points), dome=dome,
+                    config=SampleConfig(density_per_km2=0.0))
+
+
+def special_points(n: int) -> np.ndarray:
+    """``n`` rows of random doubles with the special values spread among them."""
+    rng = np.random.default_rng(n)
+    values = rng.uniform(-8000.0, 8000.0, 3 * n)
+    values[::7] = 10.0 ** rng.uniform(-320, 308, values[::7].size)
+    picks = rng.integers(0, 3 * n, len(SPECIAL_VALUES)) if n else []
+    for index, special in zip(picks, SPECIAL_VALUES):
+        values[index] = special
+    return values.reshape(n, 3)
+
+
+ROW_COUNTS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 7]
+
+
+class TestChunkedCsv:
+    """The % template formatter against the per-value ``format_real`` join."""
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_points_bytes_equal_per_value_join(self, n):
+        points = special_points(n)
+        topology = topology_of(points)
+        chunks = list(points_csv_chunks(topology))
+        assert points_to_csv(topology) == "".join(chunks) == per_value_points_csv(points)
+        assert len(chunks) == 1 + -(-n // _CHUNK_ROWS)
+
+    def test_points_special_values_text(self):
+        text = points_to_csv(topology_of(np.array([SPECIAL_VALUES[:3], SPECIAL_VALUES[3:6],
+                                                   SPECIAL_VALUES[6:9]])))
+        assert text == ("x_km,y_km,z_km\nnan,inf,-inf\n-0,0,4.9406564584124654e-324\n"
+                        "-4.9406564584124654e-324,1.7976931348623157e+308,"
+                        "-1.7976931348623157e+308\n")
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_sweep_bytes_equal_per_value_join(self, n):
+        values = special_points(n)
+        rows = [SweepRow(p, math.nan, math.nan, False, error="no value")
+                if i % 5 == 0 else SweepRow(p, phi, area, i % 3 == 0)
+                for i, (p, phi, area) in enumerate(values.tolist())]
+        text = sweep_rows_to_csv(rows)
+        assert text == "".join(sweep_csv_chunks(rows)) == per_value_sweep_csv(rows)
+        if n > 5:
+            assert ",nan,nan,false\n" in text and ",true\n" in text
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 8), st.just(3)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_points_property(self, points):
+        assert points_to_csv(topology_of(points)) == per_value_points_csv(points)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.booleans()),
+                    max_size=20))
+    def test_sweep_property(self, fields):
+        rows = [SweepRow(*row) for row in fields]
+        assert sweep_rows_to_csv(rows) == per_value_sweep_csv(rows)
+
+
+class TestCsvFiles:
+    # sha256 of the acceptance criterion 10 sample CSV in both modes, as
+    # written before CSV output was chunked.  A change here is a change of
+    # output bytes or of the random-stream order.
+    CRITERION_10_SHA256 = {
+        "area_uniform": "fb5f053cc31a35f81dec54a09f35eeff2a41fe2904b2e2c8ec8c9f07739e316c",
+        "paper_faithful": "25f79d4e118e20b7a6a999c97ab2c2115ff9ea584ce62d0f2c1d9b769835264f",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(CRITERION_10_SHA256))
+    def test_criterion_10_sample_bytes_pinned(self, mode, tmp_path, capsys):
+        descriptor = tmp_path / "scenario.json"
+        descriptor.write_text(json.dumps({
+            "scenario": "s2g", "space_altitude_km": 600, "min_elevation_deg": 10,
+            "density_per_km2": 5e-6, "rx_azimuth_deg": 137, "rx_polar_deg": 63,
+            "seed": 20240615, "mode": mode}))
+        target = tmp_path / "points.csv"
+        assert main(["sample", "--descriptor", str(descriptor), "--output", str(target)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == self.CRITERION_10_SHA256[mode]
+
+    def test_string_or_chunks(self, tmp_path):
+        target = tmp_path / "out.csv"
+        write_text_file(str(target), "a,b\n1,2\n")
+        assert target.read_bytes() == b"a,b\n1,2\n"
+        write_text_file(str(target), iter(["a,b\n", "1,2\n", "3,4\n"]))
+        assert target.read_bytes() == b"a,b\n1,2\n3,4\n"
+
+    def test_streamed_write_holds_under_half_the_text(self, tmp_path):
+        dome = coverage(reference_spec(Scenario.S2G))
+        topology = generate(dome, SampleConfig(
+            density_per_km2=200_000.5 / dome.area_km2, seed=11))
+        assert topology.count > 190_000
+        target = tmp_path / "points.csv"
+        tracemalloc.start()
+        try:
+            write_text_file(str(target), points_csv_chunks(topology))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 10_000_000
+        assert peak < size / 2

@@ -29,6 +29,7 @@ from sagindome import (
     sample_cap_angles,
     yaw_pitch_matrix,
 )
+from sagindome.pointprocess import MAX_SAMPLE_POINTS
 from conftest import reference_spec
 
 
@@ -97,6 +98,16 @@ class TestPoissonCount:
         counts = np.array([poisson_count(1.0, float(mean), rng)
                            for _ in range(40_000)])
         assert _poisson_chi_square_pvalue(counts, mean) > 0.01
+
+    def test_mean_capped_before_any_draw(self):
+        rng = make_rng(0)
+        assert abs(poisson_count(1.0, MAX_SAMPLE_POINTS + 0.5, rng)
+                   - MAX_SAMPLE_POINTS) < 10 * math.sqrt(MAX_SAMPLE_POINTS)
+        state = rng.bit_generator.state
+        for density, area in ((1.0, MAX_SAMPLE_POINTS + 1.0), (1e10, 1e300)):
+            with pytest.raises(InvalidParameterError, match=str(MAX_SAMPLE_POINTS)):
+                poisson_count(density, area, rng)
+        assert rng.bit_generator.state == state
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(InvalidParameterError):

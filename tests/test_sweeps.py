@@ -157,6 +157,15 @@ class TestRunSweep:
                          math.radians(5.0), math.radians(30.0), 13)
         assert run_sweep(spec) == run_sweep(spec)
 
+    def test_overflowing_area_is_a_failed_row(self):
+        rows = run_sweep(SweepSpec(reference_spec(Scenario.S2G),
+                                   SweepParameter.SPACE_ALTITUDE, 1e150, 1e308, 3,
+                                   SweepScale.LOGARITHMIC))
+        assert rows[0].error is None and math.isfinite(rows[0].area_km2)
+        for row in rows[1:]:
+            assert row.error == "area_km2 must be finite and >= 0, got inf"
+            assert math.isnan(row.area_km2) and math.isnan(row.vertex_angle_rad)
+
     def test_tangent_limited_rows_are_flagged(self):
         # Sweeping the receiver altitude across a wide 175-degree beam: high
         # altitudes fall back to the tangent cone.
@@ -191,6 +200,12 @@ class TestCountArithmetic:
     def test_full_sphere_normalization(self):
         assert full_sphere_count(1.0, 1.0 / (4.0 * math.pi)) == pytest.approx(
             1.0, rel=1e-15)
+
+    def test_overflowing_counts_rejected(self, s2g_spec):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            expected_count(coverage(s2g_spec), 1e308)
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            full_sphere_count(6971.0, 1e300)
 
     def test_relay_product(self):
         assert relay_path_count(54.0, 32.954) == pytest.approx(1779.516, rel=1e-12)
