@@ -18,7 +18,6 @@ from .geometry import (
     DomeGeometry,
     PhysicalConstants,
     cap_area,
-    cap_area_small_angle,
     half_power_beamwidth,
     vertex_angle_downlink,
     vertex_angle_downlink_oracle,
@@ -27,18 +26,14 @@ from .geometry import (
 )
 from .io import Descriptor, load_descriptor, parse_descriptor
 from .pointprocess import (
-    CartesianPoint,
-    PolarPoint,
     SampleConfig,
     SampleMode,
     Topology,
     angular_distance,
     cap_center_direction,
-    cartesian_to_polar,
     generate,
     make_rng,
     poisson_count,
-    polar_to_cartesian,
     sample_cap_angles,
     yaw_pitch_matrix,
 )
@@ -48,7 +43,6 @@ from .scenarios import (
     RangeViolation,
     Scenario,
     ScenarioSpec,
-    ValidationReport,
     coverage,
     resolve_radii,
     validate,
@@ -60,25 +54,22 @@ from .sweeps import (
     SweepSpec,
     expected_count,
     full_sphere_count,
-    relay_path_count,
     run_sweep,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaConfig", "CartesianPoint", "CLAMP_TOLERANCE",
-    "DEFAULT_EARTH_RADIUS_KM", "DEFAULT_LIGHT_SPEED_M_PER_S", "Descriptor",
-    "DescriptorError", "Direction", "DomeGeometry", "InvalidGeometryError",
-    "InvalidParameterError", "Layer", "NumericDomainError", "OutputError",
-    "PhysicalConstants", "PolarPoint", "RangeViolation", "SaginDomeError",
-    "SampleConfig", "SampleMode", "Scenario", "ScenarioSpec", "SweepParameter",
-    "SweepRow", "SweepScale", "SweepSpec", "Topology", "UnsupportedBranchError",
-    "ValidationReport", "angular_distance", "cap_area", "cap_area_small_angle",
-    "cap_center_direction", "cartesian_to_polar", "coverage", "expected_count",
-    "full_sphere_count", "generate", "half_power_beamwidth", "load_descriptor",
-    "make_rng", "parse_descriptor", "poisson_count", "polar_to_cartesian",
-    "relay_path_count", "resolve_radii", "run_sweep", "sample_cap_angles",
-    "validate", "vertex_angle_downlink", "vertex_angle_downlink_oracle",
-    "vertex_angle_uplink", "vertex_angle_uplink_oracle", "yaw_pitch_matrix",
+    "AntennaConfig", "CLAMP_TOLERANCE", "DEFAULT_EARTH_RADIUS_KM",
+    "DEFAULT_LIGHT_SPEED_M_PER_S", "Descriptor", "DescriptorError", "Direction",
+    "DomeGeometry", "InvalidGeometryError", "InvalidParameterError", "Layer",
+    "NumericDomainError", "OutputError", "PhysicalConstants", "RangeViolation",
+    "SaginDomeError", "SampleConfig", "SampleMode", "Scenario", "ScenarioSpec",
+    "SweepParameter", "SweepRow", "SweepScale", "SweepSpec", "Topology",
+    "UnsupportedBranchError", "angular_distance", "cap_area", "cap_center_direction",
+    "coverage", "expected_count", "full_sphere_count", "generate",
+    "half_power_beamwidth", "load_descriptor", "make_rng", "parse_descriptor",
+    "poisson_count", "resolve_radii", "run_sweep", "sample_cap_angles", "validate",
+    "vertex_angle_downlink", "vertex_angle_downlink_oracle", "vertex_angle_uplink",
+    "vertex_angle_uplink_oracle", "yaw_pitch_matrix",
 ]

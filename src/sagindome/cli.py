@@ -1,11 +1,13 @@
 """Command-line interface: the coverage, sweep, sample, and count subcommands.
 
 Exit codes: 0 on success, 2 for any input problem (flags, descriptor,
-geometry), 3 when an output file cannot be written.
+geometry), 3 when an output file or standard output cannot be written.
 """
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 from .errors import OutputError, SaginDomeError
@@ -20,7 +22,7 @@ from .io import (
     sweep_csv_chunks,
     write_text_file,
 )
-from .pointprocess import generate
+from .pointprocess import DEFAULT_RNG_ALGORITHM, generate
 from .scenarios import Direction, Scenario, coverage, validate
 from .sweeps import (
     MAX_SWEEP_STEPS,
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _flags_to_data(args: argparse.Namespace) -> dict:
     return {key: getattr(args, key) for key in _SCENARIO_KEYS
-            if getattr(args, key) is not None}
+            if getattr(args, key, None) is not None}
 
 
 def _descriptor_from_args(args: argparse.Namespace) -> Descriptor:
@@ -152,9 +154,9 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
                 "parameter": violation.parameter,
                 "value": violation.value,
                 "permitted": [violation.low, violation.high],
-                "severity": violation.severity,
+                "severity": "warning",
             }
-            for violation in validate(spec).violations
+            for violation in validate(spec)
         ],
     })
     print(dumps(payload))
@@ -210,8 +212,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    descriptor = load_descriptor(args.descriptor,
-                                 earth_radius_override=args.earth_radius_km)
+    descriptor = _descriptor_from_args(args)
     config = descriptor.sample_config()
     dome = coverage(descriptor.spec)
     topology = generate(dome, config)
@@ -221,15 +222,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "area_km2": dome.area_km2,
         "vertex_angle_rad": dome.vertex_angle_rad,
         "seed": config.seed,
-        "rng_algorithm": config.rng_algorithm,
+        "rng_algorithm": DEFAULT_RNG_ALGORITHM,
         "mode": config.mode.value,
     }))
     return EXIT_OK
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    descriptor = load_descriptor(args.descriptor,
-                                 earth_radius_override=args.earth_radius_km)
+    descriptor = _descriptor_from_args(args)
     if descriptor.density_per_km2 is None:
         raise SaginDomeError("descriptor is missing density_per_km2")
     dome = coverage(descriptor.spec)
@@ -247,7 +247,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``): point stdout's descriptor, if it
+        # has one, at os.devnull, so the flush at exit finds no pipe.
+        with open(os.devnull, "w") as devnull, \
+                contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: cannot write standard output: broken pipe", file=sys.stderr)
+        return EXIT_OUTPUT_ERROR
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_ERROR

@@ -32,6 +32,41 @@ CLAMP_TOLERANCE = 1e-12
 def _require_positive(name: str, value: float) -> None:
     if not value > 0.0:
         raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+    if value == math.inf:
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
+def _require_finite_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def _require_vertex_angle(vertex_angle_rad: float) -> None:
+    if not 0.0 <= vertex_angle_rad <= math.pi:
+        raise InvalidParameterError(
+            f"vertex_angle_rad must lie in [0, pi], got {vertex_angle_rad!r}")
+
+
+def _check_uplink_domain(beamwidth_rad: float, r_t_km: float, r_r_km: float) -> None:
+    """The domain of ``vertex_angle_uplink`` and of its oracle."""
+    _require_positive("r_t_km", r_t_km)
+    if r_t_km >= r_r_km:
+        raise InvalidGeometryError(
+            f"uplink requires r_t_km < r_r_km, got r_t_km={r_t_km!r}, r_r_km={r_r_km!r}")
+    if not 0.0 < beamwidth_rad < math.pi:
+        raise InvalidParameterError(
+            f"beamwidth_rad must lie in (0, pi), got {beamwidth_rad!r}")
+
+
+def _check_downlink_domain(elevation_rad: float, r_t_km: float, r_r_km: float) -> None:
+    """The domain of ``vertex_angle_downlink`` and of its oracle."""
+    _require_positive("r_r_km", r_r_km)
+    if r_r_km >= r_t_km:
+        raise InvalidGeometryError(
+            f"downlink requires r_r_km < r_t_km, got r_t_km={r_t_km!r}, r_r_km={r_r_km!r}")
+    if not 0.0 <= elevation_rad <= 0.5 * math.pi:
+        raise InvalidParameterError(
+            f"elevation_rad must lie in [0, pi/2], got {elevation_rad!r}")
 
 
 def _clamp_cosine(value: float, what: str) -> float:
@@ -106,25 +141,19 @@ class DomeGeometry:
     def __post_init__(self) -> None:
         _require_positive("transmitter_radius_km", self.transmitter_radius_km)
         _require_positive("receiver_radius_km", self.receiver_radius_km)
-        if not 0.0 <= self.vertex_angle_rad <= math.pi:
-            raise InvalidParameterError(
-                f"vertex_angle_rad must lie in [0, pi], got {self.vertex_angle_rad!r}")
+        _require_vertex_angle(self.vertex_angle_rad)
         if not -1.0 <= self.delta <= 1.0:
             raise InvalidParameterError(f"delta must lie in [-1, 1], got {self.delta!r}")
-        if not (math.isfinite(self.area_km2) and self.area_km2 >= 0.0):
-            raise InvalidParameterError(
-                f"area_km2 must be finite and >= 0, got {self.area_km2!r}")
+        _require_finite_nonnegative("area_km2", self.area_km2)
 
 
 def half_power_beamwidth(antenna: AntennaConfig,
-                         constants: PhysicalConstants | None = None) -> float:
+                         constants: PhysicalConstants = PhysicalConstants()) -> float:
     """Full 3-dB beamwidth of a normalized reflector antenna, in radians.
 
     The defining formula kappa * c / (f * D) yields DEGREES; the conversion
     to radians happens here and nowhere else.
     """
-    if constants is None:
-        constants = PhysicalConstants()
     degrees = (antenna.illumination_coefficient * constants.light_speed_m_per_s
                / (antenna.carrier_frequency_hz * antenna.reflector_diameter_m))
     return math.radians(degrees)
@@ -143,13 +172,7 @@ def vertex_angle_uplink(beamwidth_rad: float, r_t_km: float,
     transmitter sphere's angular radius arcsin(R_t/R_r); a wider beam is
     bounded by tangency at arccos(R_t/R_r) instead.
     """
-    _require_positive("r_t_km", r_t_km)
-    if r_t_km >= r_r_km:
-        raise InvalidGeometryError(
-            f"uplink requires r_t_km < r_r_km, got r_t_km={r_t_km!r}, r_r_km={r_r_km!r}")
-    if not 0.0 < beamwidth_rad < math.pi:
-        raise InvalidParameterError(
-            f"beamwidth_rad must lie in (0, pi), got {beamwidth_rad!r}")
+    _check_uplink_domain(beamwidth_rad, r_t_km, r_r_km)
     half = 0.5 * beamwidth_rad
     ratio = r_t_km / r_r_km
     if half > math.asin(ratio):
@@ -170,13 +193,7 @@ def vertex_angle_downlink(elevation_rad: float, r_t_km: float, r_r_km: float) ->
     delta = (R_r/R_t) cos^2(alpha)
             + sin(alpha) sqrt(1 - (R_r^2/R_t^2) cos^2(alpha)).
     """
-    _require_positive("r_r_km", r_r_km)
-    if r_r_km >= r_t_km:
-        raise InvalidGeometryError(
-            f"downlink requires r_r_km < r_t_km, got r_t_km={r_t_km!r}, r_r_km={r_r_km!r}")
-    if not 0.0 <= elevation_rad <= 0.5 * math.pi:
-        raise InvalidParameterError(
-            f"elevation_rad must lie in [0, pi/2], got {elevation_rad!r}")
+    _check_downlink_domain(elevation_rad, r_t_km, r_r_km)
     k = r_r_km / r_t_km
     c = math.cos(elevation_rad)
     radicand = _clamp_nonnegative(1.0 - (k * c) ** 2, "downlink radicand")
@@ -192,20 +209,9 @@ def cap_area(r_t_km: float, vertex_angle_rad: float) -> float:
     phi = 1e-4.
     """
     _require_positive("r_t_km", r_t_km)
-    if not 0.0 <= vertex_angle_rad <= math.pi:
-        raise InvalidParameterError(
-            f"vertex_angle_rad must lie in [0, pi], got {vertex_angle_rad!r}")
+    _require_vertex_angle(vertex_angle_rad)
     half_sin = math.sin(0.5 * vertex_angle_rad)
     return 4.0 * math.pi * r_t_km * r_t_km * half_sin * half_sin
-
-
-def cap_area_small_angle(r_t_km: float, vertex_angle_rad: float) -> float:
-    """Flat-disc approximation pi*R^2*phi^2 of the cap area, for phi << 1."""
-    _require_positive("r_t_km", r_t_km)
-    if not 0.0 <= vertex_angle_rad <= math.pi:
-        raise InvalidParameterError(
-            f"vertex_angle_rad must lie in [0, pi], got {vertex_angle_rad!r}")
-    return math.pi * r_t_km * r_t_km * vertex_angle_rad * vertex_angle_rad
 
 
 def vertex_angle_uplink_oracle(beamwidth_rad: float, r_t_km: float,
@@ -216,13 +222,7 @@ def vertex_angle_uplink_oracle(beamwidth_rad: float, r_t_km: float,
     independent cross-check of ``vertex_angle_uplink``; the tangent-limited
     branch is out of its domain.
     """
-    _require_positive("r_t_km", r_t_km)
-    if r_t_km >= r_r_km:
-        raise InvalidGeometryError(
-            f"uplink requires r_t_km < r_r_km, got r_t_km={r_t_km!r}, r_r_km={r_r_km!r}")
-    if not 0.0 < beamwidth_rad < math.pi:
-        raise InvalidParameterError(
-            f"beamwidth_rad must lie in (0, pi), got {beamwidth_rad!r}")
+    _check_uplink_domain(beamwidth_rad, r_t_km, r_r_km)
     half = 0.5 * beamwidth_rad
     if half > math.asin(r_t_km / r_r_km):
         raise UnsupportedBranchError(
@@ -237,13 +237,7 @@ def vertex_angle_downlink_oracle(elevation_rad: float, r_t_km: float,
 
     Independent cross-check of ``vertex_angle_downlink``.
     """
-    _require_positive("r_r_km", r_r_km)
-    if r_r_km >= r_t_km:
-        raise InvalidGeometryError(
-            f"downlink requires r_r_km < r_t_km, got r_t_km={r_t_km!r}, r_r_km={r_r_km!r}")
-    if not 0.0 <= elevation_rad <= 0.5 * math.pi:
-        raise InvalidParameterError(
-            f"elevation_rad must lie in [0, pi/2], got {elevation_rad!r}")
+    _check_downlink_domain(elevation_rad, r_t_km, r_r_km)
     cosine = _clamp_cosine((r_r_km / r_t_km) * math.cos(elevation_rad),
                            "downlink oracle cosine")
     return math.acos(cosine) - elevation_rad

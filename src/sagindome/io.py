@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DescriptorError, InvalidParameterError, OutputError
 from .geometry import DEFAULT_EARTH_RADIUS_KM, AntennaConfig, PhysicalConstants
-from .pointprocess import DEFAULT_RNG_ALGORITHM, SampleConfig, SampleMode, Topology
+from .pointprocess import SampleConfig, SampleMode, Topology
 from .scenarios import Direction, Layer, Scenario, ScenarioSpec
 from .sweeps import SweepRow
 
@@ -59,7 +59,6 @@ class Descriptor:
             rx_polar_rad=self.rx_polar_rad,
             mode=self.mode,
             seed=self.seed,
-            rng_algorithm=DEFAULT_RNG_ALGORITHM,
         )
 
 
@@ -67,11 +66,18 @@ def _reject_nonfinite(token: str) -> float:
     raise DescriptorError(f"non-finite JSON number {token!r} is not allowed")
 
 
-def _real(data: dict, key: str) -> float:
+def _real(data: dict, key: str, default: float | None = None) -> float | None:
+    """The number under ``key``, or ``default`` when the key is absent."""
+    if key not in data:
+        return default
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DescriptorError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DescriptorError(
+            f"{key} must be finite, got an integer beyond the float range") from None
 
 
 def _integer(data: dict, key: str) -> int:
@@ -158,10 +164,8 @@ def parse_descriptor(data: object, *,
         min_elevation_rad = math.radians(_real(data, "min_elevation_deg"))
     spec = ScenarioSpec(
         scenario=scenario,
-        air_altitude_km=_real(data, "air_altitude_km")
-        if "air_altitude_km" in data else None,
-        space_altitude_km=_real(data, "space_altitude_km")
-        if "space_altitude_km" in data else None,
+        air_altitude_km=_real(data, "air_altitude_km"),
+        space_altitude_km=_real(data, "space_altitude_km"),
         antenna=antenna,
         min_elevation_rad=min_elevation_rad,
         constants=constants,
@@ -174,16 +178,14 @@ def parse_descriptor(data: object, *,
         raise DescriptorError(
             f"mode must be one of {[m.value for m in SampleMode]}, "
             f"got {mode_value!r}") from None
-    density = _real(data, "density_per_km2") if "density_per_km2" in data else None
+    density = _real(data, "density_per_km2")
     if density is not None and density < 0.0:
         raise DescriptorError(f"density_per_km2 must be >= 0, got {density!r}")
     return Descriptor(
         spec=spec,
         density_per_km2=density,
-        rx_azimuth_rad=math.radians(_real(data, "rx_azimuth_deg"))
-        if "rx_azimuth_deg" in data else 0.0,
-        rx_polar_rad=math.radians(_real(data, "rx_polar_deg"))
-        if "rx_polar_deg" in data else 0.0,
+        rx_azimuth_rad=math.radians(_real(data, "rx_azimuth_deg", 0.0)),
+        rx_polar_rad=math.radians(_real(data, "rx_polar_deg", 0.0)),
         seed=_integer(data, "seed") if "seed" in data else None,
         mode=mode,
     )

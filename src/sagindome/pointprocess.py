@@ -1,13 +1,12 @@
 """Seeded stochastic transmitter generation on a coverage dome.
 
 Reproducibility contract: a fixed (dome, config) pair yields bit-identical
-output across runs and platforms.  Uniform variates come from a named numpy
-bit generator (``SampleConfig.rng_algorithm``) through ``Generator.random``;
-the Poisson count is drawn by this module's own samplers (sequential
-inversion below mean 30, Hormann's PTRS transformed rejection above) so the
-stream never depends on numpy's distribution internals.  ``generate`` always
-consumes the stream in the order: count, then all azimuths, then all polar
-angles.
+output across runs and platforms.  Uniform variates come from numpy's PCG64
+bit generator through ``Generator.random``; the Poisson count is drawn by
+this module's own samplers (sequential inversion below mean 30, Hormann's
+PTRS transformed rejection above) so the stream never depends on numpy's
+distribution internals.  ``generate`` always consumes the stream in the
+order: count, then all azimuths, then all polar angles.
 """
 
 import math
@@ -17,15 +16,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, NumericDomainError
-from .geometry import CLAMP_TOLERANCE, DomeGeometry
+from .geometry import (
+    CLAMP_TOLERANCE,
+    DomeGeometry,
+    _require_finite_nonnegative,
+    _require_vertex_angle,
+)
 
-RNG_ALGORITHMS = {
-    "pcg64": np.random.PCG64,
-    "philox": np.random.Philox,
-    "sfc64": np.random.SFC64,
-    "mt19937": np.random.MT19937,
-}
-
+# The bit generator ``make_rng`` builds, by numpy's name for it.
 DEFAULT_RNG_ALGORITHM = "pcg64"
 
 # Mean at which the Poisson sampler switches from sequential inversion to
@@ -52,84 +50,22 @@ class SampleMode(Enum):
 
 
 @dataclass(frozen=True)
-class PolarPoint:
-    """A point in Earth-centred spherical coordinates, normalized on creation."""
-
-    radius_km: float
-    azimuth_rad: float
-    polar_rad: float
-
-    def __post_init__(self) -> None:
-        if not self.radius_km > 0.0:
-            raise InvalidParameterError(f"radius_km must be > 0, got {self.radius_km!r}")
-        azimuth = self.azimuth_rad
-        polar = self.polar_rad % (2.0 * math.pi)
-        if polar > math.pi:
-            polar = 2.0 * math.pi - polar
-            azimuth += math.pi
-        object.__setattr__(self, "polar_rad", polar)
-        object.__setattr__(self, "azimuth_rad", azimuth % (2.0 * math.pi))
-
-
-@dataclass(frozen=True)
-class CartesianPoint:
-    x_km: float
-    y_km: float
-    z_km: float
-
-
-def polar_to_cartesian(point: PolarPoint) -> CartesianPoint:
-    r, sin_p = point.radius_km, math.sin(point.polar_rad)
-    return CartesianPoint(
-        x_km=r * sin_p * math.cos(point.azimuth_rad),
-        y_km=r * sin_p * math.sin(point.azimuth_rad),
-        z_km=r * math.cos(point.polar_rad),
-    )
-
-
-def cartesian_to_polar(point: CartesianPoint) -> PolarPoint:
-    r = math.sqrt(point.x_km ** 2 + point.y_km ** 2 + point.z_km ** 2)
-    if r == 0.0:
-        raise InvalidParameterError("cannot convert the origin to polar coordinates")
-    return PolarPoint(
-        radius_km=r,
-        azimuth_rad=math.atan2(point.y_km, point.x_km),
-        polar_rad=math.acos(max(-1.0, min(1.0, point.z_km / r))),
-    )
-
-
-@dataclass(frozen=True)
 class SampleConfig:
-    """Density, receiver orientation, sampling mode, and RNG identity."""
+    """Density, receiver orientation, sampling mode, and seed."""
 
     density_per_km2: float
     rx_azimuth_rad: float = 0.0
     rx_polar_rad: float = 0.0
     mode: SampleMode = SampleMode.AREA_UNIFORM
     seed: int = 0
-    rng_algorithm: str = DEFAULT_RNG_ALGORITHM
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.density_per_km2) and self.density_per_km2 >= 0.0):
-            raise InvalidParameterError(
-                f"density_per_km2 must be finite and >= 0, got {self.density_per_km2!r}")
+        _require_finite_nonnegative("density_per_km2", self.density_per_km2)
         for name in ("rx_azimuth_rad", "rx_polar_rad"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite")
-        if isinstance(self.mode, str):
-            try:
-                object.__setattr__(self, "mode", SampleMode(self.mode))
-            except ValueError:
-                raise InvalidParameterError(
-                    f"mode must be one of {[m.value for m in SampleMode]}, "
-                    f"got {self.mode!r}") from None
-        elif not isinstance(self.mode, SampleMode):
-            raise InvalidParameterError(f"mode must be a SampleMode, got {self.mode!r}")
+        object.__setattr__(self, "mode", _sample_mode(self.mode))
         _check_seed(self.seed)
-        if self.rng_algorithm not in RNG_ALGORITHMS:
-            raise InvalidParameterError(
-                f"rng_algorithm must be one of {sorted(RNG_ALGORITHMS)}, "
-                f"got {self.rng_algorithm!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +77,13 @@ class Topology:
     dome: DomeGeometry
     config: SampleConfig
 
-    def cartesian_points(self) -> list[CartesianPoint]:
-        return [CartesianPoint(*row) for row in self.points]
+
+def _sample_mode(mode: SampleMode | str) -> SampleMode:
+    try:
+        return SampleMode(mode)
+    except ValueError:
+        raise InvalidParameterError(
+            f"mode must be one of {[m.value for m in SampleMode]}, got {mode!r}") from None
 
 
 def _check_seed(seed: int) -> None:
@@ -152,16 +93,10 @@ def _check_seed(seed: int) -> None:
         raise InvalidParameterError(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
-def make_rng(seed: int, rng_algorithm: str = DEFAULT_RNG_ALGORITHM) -> np.random.Generator:
-    """Build the named, seeded generator used by all sampling routines."""
+def make_rng(seed: int) -> np.random.Generator:
+    """Build the seeded PCG64 generator used by all sampling routines."""
     _check_seed(seed)
-    try:
-        bit_generator = RNG_ALGORITHMS[rng_algorithm]
-    except KeyError:
-        raise InvalidParameterError(
-            f"rng_algorithm must be one of {sorted(RNG_ALGORITHMS)}, "
-            f"got {rng_algorithm!r}") from None
-    return np.random.Generator(bit_generator(seed))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _poisson_inversion(mean: int, rng: np.random.Generator) -> int:
@@ -201,12 +136,8 @@ def poisson_count(density_per_km2: float, area_km2: float,
                   rng: np.random.Generator) -> int:
     """Poisson node count with mean floor(density * area); a mean above
     MAX_SAMPLE_POINTS is refused."""
-    if not (math.isfinite(density_per_km2) and density_per_km2 >= 0.0):
-        raise InvalidParameterError(
-            f"density_per_km2 must be finite and >= 0, got {density_per_km2!r}")
-    if not (math.isfinite(area_km2) and area_km2 >= 0.0):
-        raise InvalidParameterError(
-            f"area_km2 must be finite and >= 0, got {area_km2!r}")
+    _require_finite_nonnegative("density_per_km2", density_per_km2)
+    _require_finite_nonnegative("area_km2", area_km2)
     # Checked before any draw, so accepted inputs consume the stream as before.
     product = density_per_km2 * area_km2
     if not (math.isfinite(product) and math.floor(product) <= MAX_SAMPLE_POINTS):
@@ -230,17 +161,10 @@ def sample_cap_angles(vertex_angle_rad: float, count: int, mode: SampleMode,
     cancellation-free form 2*arcsin(sqrt(U) * sin(phi/2)); PAPER_FAITHFUL
     draws polar uniformly on [-phi, phi].
     """
-    if not 0.0 <= vertex_angle_rad <= math.pi:
-        raise InvalidParameterError(
-            f"vertex_angle_rad must lie in [0, pi], got {vertex_angle_rad!r}")
+    _require_vertex_angle(vertex_angle_rad)
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count!r}")
-    try:
-        mode = SampleMode(mode)
-    except ValueError:
-        raise InvalidParameterError(
-            f"mode must be one of {[m.value for m in SampleMode]}, "
-            f"got {mode!r}") from None
+    mode = _sample_mode(mode)
     azimuth = 2.0 * math.pi * rng.random(count)
     if mode is SampleMode.PAPER_FAITHFUL:
         polar = vertex_angle_rad * (2.0 * rng.random(count) - 1.0)
@@ -274,7 +198,7 @@ def generate(dome: DomeGeometry, config: SampleConfig) -> Topology:
     rotated by the yaw-pitch matrix so the cap centre lands on the receiver
     direction (sin(polar)cos(azimuth), sin(polar)sin(azimuth), cos(polar)).
     """
-    rng = make_rng(config.seed, config.rng_algorithm)
+    rng = make_rng(config.seed)
     count = poisson_count(config.density_per_km2, dome.area_km2, rng)
     azimuth, polar = sample_cap_angles(dome.vertex_angle_rad, count, config.mode, rng)
     r_t = dome.transmitter_radius_km

@@ -15,6 +15,7 @@ from .geometry import (
     AntennaConfig,
     DomeGeometry,
     PhysicalConstants,
+    _require_positive,
     cap_area,
     half_power_beamwidth,
     vertex_angle_downlink,
@@ -135,8 +136,7 @@ class ScenarioSpec:
         if layer in self.scenario.layers:
             if value is None:
                 raise InvalidParameterError(f"{self.scenario.value}: {name} is required")
-            if not value > 0.0:
-                raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+            _require_positive(name, value)
         elif value is not None:
             raise InvalidParameterError(
                 f"{self.scenario.value}: {name} is not applicable to this scenario")
@@ -150,16 +150,6 @@ class RangeViolation:
     value: float
     low: float
     high: float
-    severity: str = "warning"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[RangeViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _layer_radius_km(spec: ScenarioSpec, layer: Layer) -> float:
@@ -177,7 +167,7 @@ def resolve_radii(spec: ScenarioSpec) -> tuple[float, float]:
             _layer_radius_km(spec, spec.scenario.receiver_layer))
 
 
-def validate(spec: ScenarioSpec) -> ValidationReport:
+def validate(spec: ScenarioSpec) -> tuple[RangeViolation, ...]:
     """Range-check parameters against customary operating ranges.
 
     Violations are warnings, never hard errors: sweeps and literature
@@ -198,7 +188,7 @@ def validate(spec: ScenarioSpec) -> ValidationReport:
         check("air_altitude_km", spec.air_altitude_km, *AIR_ALTITUDE_RANGE_KM)
     if spec.space_altitude_km is not None:
         check("space_altitude_km", spec.space_altitude_km, *SPACE_ALTITUDE_RANGE_KM)
-    return ValidationReport(tuple(found))
+    return tuple(found)
 
 
 def coverage(spec: ScenarioSpec) -> DomeGeometry:

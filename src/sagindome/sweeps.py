@@ -8,7 +8,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, SaginDomeError
-from .geometry import CLAMP_TOLERANCE, DomeGeometry
+from .geometry import (
+    CLAMP_TOLERANCE,
+    DomeGeometry,
+    _require_finite_nonnegative,
+    _require_positive,
+)
 from .scenarios import Direction, Layer, ScenarioSpec, coverage
 
 # Largest grid a sweep may ask for.  Each step costs about half a kilobyte
@@ -104,10 +109,6 @@ def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> np.nd
     if scale is SweepScale.LOGARITHMIC:
         return np.geomspace(low, high, steps)
     return np.linspace(low, high, steps)
-
-
-def sweep_grid(spec: SweepSpec) -> np.ndarray:
-    return grid_values(spec.low, spec.high, spec.steps, spec.scale)
 
 
 def _with_parameter(base: ScenarioSpec, parameter: SweepParameter,
@@ -234,7 +235,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     are evaluated again by the scalar ``coverage`` path, which supplies the
     ``error`` text of every failed row.
     """
-    values = sweep_grid(spec)
+    values = grid_values(spec.low, spec.high, spec.steps, spec.scale)
     phi, area, tangent, irregular = _evaluate(spec, values)
     rows = [SweepRow(*row) for row in
             zip(values.tolist(), phi.tolist(), area.tolist(), tangent.tolist())]
@@ -246,9 +247,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 def expected_count(dome: DomeGeometry, density_per_km2: float) -> tuple[float, int]:
     """(density * area, floor(density * area)): the exact product and the
     integer mean actually fed to the Poisson draw."""
-    if not (math.isfinite(density_per_km2) and density_per_km2 >= 0.0):
-        raise InvalidParameterError(
-            f"density_per_km2 must be finite and >= 0, got {density_per_km2!r}")
+    _require_finite_nonnegative("density_per_km2", density_per_km2)
     product = density_per_km2 * dome.area_km2
     if not math.isfinite(product):
         raise InvalidParameterError(
@@ -259,22 +258,11 @@ def expected_count(dome: DomeGeometry, density_per_km2: float) -> tuple[float, i
 
 def full_sphere_count(radius_km: float, density_per_km2: float) -> float:
     """Expected node count of a whole sphere, 4*pi*r^2 * density."""
-    if not radius_km > 0.0:
-        raise InvalidParameterError(f"radius_km must be > 0, got {radius_km!r}")
-    if not (math.isfinite(density_per_km2) and density_per_km2 >= 0.0):
-        raise InvalidParameterError(
-            f"density_per_km2 must be finite and >= 0, got {density_per_km2!r}")
+    _require_positive("radius_km", radius_km)
+    _require_finite_nonnegative("density_per_km2", density_per_km2)
     count = 4.0 * math.pi * radius_km * radius_km * density_per_km2
     if not math.isfinite(count):
         raise InvalidParameterError(
             f"full-sphere count 4*pi*r^2 * density overflows: radius_km={radius_km!r}, "
             f"density_per_km2={density_per_km2!r}")
     return count
-
-
-def relay_path_count(count_hop1: float, count_hop2: float) -> float:
-    """Rough two-hop relay capacity heuristic: the plain product of the
-    per-hop expected counts.  Nothing more is implied."""
-    if count_hop1 < 0.0 or count_hop2 < 0.0:
-        raise InvalidParameterError("hop counts must be >= 0")
-    return count_hop1 * count_hop2

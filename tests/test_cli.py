@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from sagindome import (
     cap_area,
     run_sweep,
 )
+import sagindome
 from sagindome import pointprocess
 from sagindome.cli import main
 from sagindome.io import sweep_rows_to_csv
@@ -126,6 +131,36 @@ class TestCoverageCommand:
                                   "--min-elevation-deg", "10"], capsys)
         assert code == 2 and out == ""
         assert err == "error: area_km2 must be finite and >= 0, got inf\n"
+
+    @pytest.mark.parametrize("flags, env, name", [
+        ([], {"SAGIN_EARTH_RADIUS_KM": "inf"}, "earth_radius_km"),
+        (["--earth-radius-km", "inf"], {}, "earth_radius_km"),
+        (["--space-altitude-km", "inf"], {}, "space_altitude_km"),
+    ], ids=["env", "earth-flag", "altitude-flag"])
+    def test_infinite_downlink_input_named(self, flags, env, name, capsys, monkeypatch):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        base = ["coverage", "--scenario", "s2g", "--space-altitude-km", "600",
+                "--min-elevation-deg", "10"]
+        code, out, err = run_cli(base + flags, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {name} must be finite, got inf\n"
+
+    def test_infinite_antenna_input_named(self, capsys):
+        flags = [*G2S_MEO_FLAGS]
+        flags[flags.index("--illumination-coefficient") + 1] = "inf"
+        code, out, err = run_cli(["coverage", *flags], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: illumination_coefficient must be finite, got inf\n"
+
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"scenario": "s2g", "space_altitude_km": 1' + "0" * 400
+                        + ', "min_elevation_deg": 10}')
+        code, out, err = run_cli(["coverage", "--descriptor", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: space_altitude_km must be finite, got an integer "
+                       "beyond the float range\n")
 
     def test_descriptor_and_flags_conflict(self, s2g_descriptor, capsys):
         code, _, err = run_cli(["coverage", "--descriptor", s2g_descriptor,
@@ -385,3 +420,50 @@ class TestCountCommand:
                               '"min_elevation_deg": 10}')
         code, _, err = run_cli(["count", "--descriptor", str(descriptor)], capsys)
         assert code == 2 and "density" in err
+
+
+class BrokenPipe:
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def writelines(self, lines):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["coverage", *G2S_MEO_FLAGS],
+        ["sweep", *G2S_MEO_FLAGS, "--param", "carrier_frequency", "--from", "2e9",
+         "--to", "40e9", "--steps", "5"],
+    ], ids=["coverage", "sweep"])
+    def test_broken_pipe_exit_3(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: cannot write standard output: broken pipe\n"
+
+    @pytest.mark.parametrize("argv, lines_read", [
+        (["coverage", *G2S_MEO_FLAGS], 0),
+        (["sweep", "--scenario", "s2g", "--space-altitude-km", "600", "--param",
+          "min_elevation", "--from", "5", "--to", "30", "--steps", "20000"], 1),
+    ], ids=["coverage", "sweep"])
+    def test_reader_closing_the_pipe(self, argv, lines_read):
+        # Buffered stdout (no PYTHONUNBUFFERED), so text is still buffered at
+        # exit; the 20 000-row CSV is far larger than a pipe buffer.
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(sagindome.__file__).resolve().parents[1])
+        with subprocess.Popen([sys.executable, "-m", "sagindome", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+            for _ in range(lines_read):
+                process.stdout.readline()
+            process.stdout.close()
+            err = process.stderr.read()
+            assert process.wait(timeout=60) == 3
+        assert err == b"error: cannot write standard output: broken pipe\n"

@@ -21,7 +21,6 @@ from sagindome import (
     PhysicalConstants,
     UnsupportedBranchError,
     cap_area,
-    cap_area_small_angle,
     half_power_beamwidth,
     vertex_angle_downlink,
     vertex_angle_downlink_oracle,
@@ -214,6 +213,16 @@ class TestCapArea:
         assert cap_area(6371.0, phi) == pytest.approx(
             math.pi * 6371.0 ** 2 * phi * phi, rel=1e-9)
 
+    @pytest.mark.parametrize("r_t", [1.0, 6371.0, 42157.0])
+    def test_disc_limit_at_milliradian(self, r_t):
+        # 4*pi*R^2*sin^2(phi/2) = pi*R^2*phi^2 * (1 - phi^2/12 + phi^4/360 - ...)
+        phi = 1e-3
+        series = math.pi * r_t * r_t * phi * phi * (1.0 - phi * phi / 12.0)
+        assert cap_area(r_t, phi) == pytest.approx(series, rel=1e-12)
+
+    def test_ground_to_air_footprint(self):
+        assert cap_area(6371.0, 3.8697e-4) == pytest.approx(19.1, abs=0.05)
+
     def test_rejects_out_of_range_angle(self):
         with pytest.raises(InvalidParameterError):
             cap_area(6371.0, -0.1)
@@ -231,20 +240,6 @@ class TestDomeGeometry:
         DomeGeometry(**fields)
         with pytest.raises(InvalidParameterError, match=field):
             DomeGeometry(**dict(fields, **{field: value}))
-
-
-class TestCapAreaSmallAngle:
-    def test_zero(self):
-        assert cap_area_small_angle(6371.0, 0.0) == 0.0
-
-    @pytest.mark.parametrize("r_t", [1.0, 6371.0, 42157.0])
-    def test_taylor_remainder_at_milliradian(self, r_t):
-        phi = 1e-3
-        exact = cap_area(r_t, phi)
-        assert abs(cap_area_small_angle(r_t, phi) - exact) / exact <= 1e-6
-
-    def test_ground_to_air_footprint(self):
-        assert cap_area_small_angle(6371.0, 3.8697e-4) == pytest.approx(19.1, abs=0.05)
 
 
 class TestOracleForms:

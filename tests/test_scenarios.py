@@ -109,51 +109,44 @@ class TestSpecInvariants:
 class TestValidate:
     def test_clean_low_band_report(self):
         spec = ScenarioSpec(Scenario.G2A, air_altitude_km=5.0, antenna=WHIP)
-        report = validate(spec)
-        assert report.ok
-        assert report.violations == ()
+        assert validate(spec) == ()
 
     def test_satellite_band_overshoot(self):
         spec = ScenarioSpec(Scenario.G2S, space_altitude_km=20000.0,
                             antenna=AntennaConfig(70.0, 4.0, 100e9))
-        report = validate(spec)
-        assert [v.parameter for v in report.violations] == ["carrier_frequency_hz"]
-        assert report.violations[0].severity == "warning"
-        assert report.violations[0].low == 2e9
-        assert report.violations[0].high == 40e9
+        violations = validate(spec)
+        assert [v.parameter for v in violations] == ["carrier_frequency_hz"]
+        assert violations[0].low == 2e9
+        assert violations[0].high == 40e9
 
     def test_elevation_overshoot(self):
         spec = ScenarioSpec(Scenario.S2A, air_altitude_km=5.0, space_altitude_km=600.0,
                             min_elevation_rad=math.radians(45.0))
-        report = validate(spec)
-        assert [v.parameter for v in report.violations] == ["min_elevation_rad"]
+        assert [v.parameter for v in validate(spec)] == ["min_elevation_rad"]
 
     def test_low_band_range_applies_to_ground_air(self):
         spec = ScenarioSpec(Scenario.G2A, air_altitude_km=5.0,
                             antenna=AntennaConfig(70.0, 0.2, 5e9))
-        assert [v.parameter for v in validate(spec).violations] == [
-            "carrier_frequency_hz"]
+        assert [v.parameter for v in validate(spec)] == ["carrier_frequency_hz"]
 
     def test_altitude_ranges(self):
         low_air = ScenarioSpec(Scenario.A2G, air_altitude_km=0.5,
                                min_elevation_rad=math.radians(10.0))
-        assert [v.parameter for v in validate(low_air).violations] == [
-            "air_altitude_km"]
+        assert [v.parameter for v in validate(low_air)] == ["air_altitude_km"]
         high_space = ScenarioSpec(Scenario.S2G, space_altitude_km=40000.0,
                                   min_elevation_rad=math.radians(10.0))
-        assert [v.parameter for v in validate(high_space).violations] == [
-            "space_altitude_km"]
+        assert [v.parameter for v in validate(high_space)] == ["space_altitude_km"]
 
     def test_range_edges_are_inside(self):
         spec = ScenarioSpec(Scenario.S2G, space_altitude_km=35786.0,
                             min_elevation_rad=math.radians(30.0))
-        assert validate(spec).ok
+        assert validate(spec) == ()
 
     def test_multiple_violations_reported_together(self):
         spec = ScenarioSpec(Scenario.A2S, air_altitude_km=80.0,
                             space_altitude_km=400.0,
                             antenna=AntennaConfig(70.0, 4.0, 60e9))
-        names = sorted(v.parameter for v in validate(spec).violations)
+        names = sorted(v.parameter for v in validate(spec))
         assert names == ["air_altitude_km", "carrier_frequency_hz",
                          "space_altitude_km"]
 

@@ -30,7 +30,7 @@ from sagindome import (
     vertex_angle_downlink_oracle,
     vertex_angle_uplink_oracle,
 )
-from sagindome.sweeps import _with_parameter, parameter_applicable, sweep_grid
+from sagindome.sweeps import _with_parameter, grid_values, parameter_applicable
 
 SCALAR_RAD = 1e-12      # vertex angle against the scalar path
 ORACLE_RAD = 1e-9       # vertex angle against the difference-form oracles
@@ -116,7 +116,7 @@ def _oracle(spec: ScenarioSpec, tangent_limited: bool) -> float:
 @given(sweeps())
 def test_array_pass_matches_scalar_path(spec):
     rows = run_sweep(spec)
-    grid = sweep_grid(spec).tolist()
+    grid = grid_values(spec.low, spec.high, spec.steps, spec.scale).tolist()
     assert [row.parameter_value for row in rows] == grid
     for row, value in zip(rows, grid):
         try:

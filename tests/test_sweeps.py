@@ -17,7 +17,6 @@ from sagindome import (
     coverage,
     expected_count,
     full_sphere_count,
-    relay_path_count,
     run_sweep,
 )
 from sagindome import sweeps
@@ -207,15 +206,8 @@ class TestCountArithmetic:
         with pytest.raises(InvalidParameterError, match="overflows"):
             full_sphere_count(6971.0, 1e300)
 
-    def test_relay_product(self):
-        assert relay_path_count(54.0, 32.954) == pytest.approx(1779.516, rel=1e-12)
-        assert relay_path_count(17.0, 0.0) == 0.0
-        assert relay_path_count(1.0, 12.32) == 12.32
-
     def test_negative_inputs_rejected(self):
         with pytest.raises(InvalidParameterError):
             full_sphere_count(-1.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            relay_path_count(-1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             expected_count(coverage(reference_spec(Scenario.S2G)), -0.1)
