@@ -13,10 +13,9 @@ from .errors import (
 from .geometry import (
     CLAMP_TOLERANCE,
     DEFAULT_EARTH_RADIUS_KM,
-    DEFAULT_LIGHT_SPEED_M_PER_S,
+    LIGHT_SPEED_M_PER_S,
     AntennaConfig,
     DomeGeometry,
-    PhysicalConstants,
     cap_area,
     half_power_beamwidth,
     vertex_angle_downlink,
@@ -60,16 +59,16 @@ from .sweeps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaConfig", "CLAMP_TOLERANCE", "DEFAULT_EARTH_RADIUS_KM",
-    "DEFAULT_LIGHT_SPEED_M_PER_S", "Descriptor", "DescriptorError", "Direction",
-    "DomeGeometry", "InvalidGeometryError", "InvalidParameterError", "Layer",
-    "NumericDomainError", "OutputError", "PhysicalConstants", "RangeViolation",
-    "SaginDomeError", "SampleConfig", "SampleMode", "Scenario", "ScenarioSpec",
-    "SweepParameter", "SweepRow", "SweepScale", "SweepSpec", "Topology",
-    "UnsupportedBranchError", "angular_distance", "cap_area", "cap_center_direction",
-    "coverage", "expected_count", "full_sphere_count", "generate",
-    "half_power_beamwidth", "load_descriptor", "make_rng", "parse_descriptor",
-    "poisson_count", "resolve_radii", "run_sweep", "sample_cap_angles", "validate",
-    "vertex_angle_downlink", "vertex_angle_downlink_oracle", "vertex_angle_uplink",
-    "vertex_angle_uplink_oracle", "yaw_pitch_matrix",
+    "AntennaConfig", "CLAMP_TOLERANCE", "DEFAULT_EARTH_RADIUS_KM", "Descriptor",
+    "DescriptorError", "Direction", "DomeGeometry", "InvalidGeometryError",
+    "InvalidParameterError", "LIGHT_SPEED_M_PER_S", "Layer", "NumericDomainError",
+    "OutputError", "RangeViolation", "SaginDomeError", "SampleConfig", "SampleMode",
+    "Scenario", "ScenarioSpec", "SweepParameter", "SweepRow", "SweepScale", "SweepSpec",
+    "Topology", "UnsupportedBranchError", "angular_distance", "cap_area",
+    "cap_center_direction", "coverage", "expected_count", "full_sphere_count",
+    "generate", "half_power_beamwidth", "load_descriptor", "make_rng",
+    "parse_descriptor", "poisson_count", "resolve_radii", "run_sweep",
+    "sample_cap_angles", "validate", "vertex_angle_downlink",
+    "vertex_angle_downlink_oracle", "vertex_angle_uplink", "vertex_angle_uplink_oracle",
+    "yaw_pitch_matrix",
 ]

@@ -46,7 +46,7 @@ EXIT_OUTPUT_ERROR = 3
 # Descriptor keys that have an inline flag; each flag's dest is its key.
 _SCENARIO_KEYS = ("scenario", "carrier_frequency_hz", "illumination_coefficient",
                   "reflector_diameter_m", "min_elevation_deg", "air_altitude_km",
-                  "space_altitude_km")
+                  "space_altitude_km", "earth_radius_km")
 
 # The scenario flag each sweep parameter replaces, in CLI units; angles
 # enter in degrees and are converted to the library's radians at this
@@ -65,13 +65,6 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + key.replace("_", "-"), type=float)
 
 
-def _add_earth_radius_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--earth-radius-km", type=float,
-        help="override the Earth radius (takes precedence over the "
-             "SAGIN_EARTH_RADIUS_KM environment variable)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sagindome",
@@ -83,12 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="resolve one scenario into its coverage dome (JSON)")
     cov.add_argument("--descriptor", help="scenario descriptor JSON file")
     _add_scenario_flags(cov)
-    _add_earth_radius_flag(cov)
     cov.set_defaults(handler=_cmd_coverage)
 
     swp = sub.add_parser("sweep", help="sweep one parameter over a grid (CSV)")
     _add_scenario_flags(swp)
-    _add_earth_radius_flag(swp)
     swp.add_argument("--param", required=True,
                      choices=sorted(p.value for p in SweepParameter))
     swp.add_argument("--from", dest="sweep_from", type=float, required=True,
@@ -107,12 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="generate a seeded transmitter topology (CSV + JSON summary)")
     smp.add_argument("--descriptor", required=True)
     smp.add_argument("--output", required=True, help="points CSV path")
-    _add_earth_radius_flag(smp)
     smp.set_defaults(handler=_cmd_sample)
 
     cnt = sub.add_parser("count", help="expected-count arithmetic (JSON)")
     cnt.add_argument("--descriptor", required=True)
-    _add_earth_radius_flag(cnt)
     cnt.set_defaults(handler=_cmd_count)
     return parser
 
@@ -128,9 +117,8 @@ def _descriptor_from_args(args: argparse.Namespace) -> Descriptor:
         if flags:
             raise SaginDomeError(
                 "pass either --descriptor or inline scenario flags, not both")
-        return load_descriptor(args.descriptor,
-                               earth_radius_override=args.earth_radius_km)
-    return parse_descriptor(flags, earth_radius_override=args.earth_radius_km)
+        return load_descriptor(args.descriptor)
+    return parse_descriptor(flags)
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
@@ -143,7 +131,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         "r_r_km": dome.receiver_radius_km,
     }
     if spec.scenario.direction is Direction.UPLINK:
-        payload["beamwidth_rad"] = half_power_beamwidth(spec.antenna, spec.constants)
+        payload["beamwidth_rad"] = half_power_beamwidth(spec.antenna)
     payload.update({
         "vertex_angle_rad": dome.vertex_angle_rad,
         "delta": dome.delta,
@@ -193,7 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         first = invalid_values(parameter, grid, flags.get("air_altitude_km"),
                                flags.get("space_altitude_km")).argmin()
         flags[_SWEEP_PARAM_KEYS[parameter]] = to_flag(grid[first])
-    descriptor = parse_descriptor(flags, earth_radius_override=args.earth_radius_km)
+    descriptor = parse_descriptor(flags)
     sweep = SweepSpec(
         base=descriptor.spec,
         parameter=parameter,

@@ -22,7 +22,7 @@ from .errors import (
 )
 
 DEFAULT_EARTH_RADIUS_KM = 6371.0
-DEFAULT_LIGHT_SPEED_M_PER_S = 2.998e8
+LIGHT_SPEED_M_PER_S = 2.998e8
 
 # Inverse-trig arguments within this distance outside [-1, 1] are float
 # noise and get clamped; anything farther out is a real geometry bug.
@@ -92,23 +92,6 @@ def _clamp_nonnegative(value: float, what: str) -> float:
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """Earth radius and light speed used throughout the model.
-
-    The light speed default is overridable so callers can pin either the
-    rounded 3.0e8 m/s or a more precise value; the choice moves beamwidths
-    by less than 0.07%.
-    """
-
-    earth_radius_km: float = DEFAULT_EARTH_RADIUS_KM
-    light_speed_m_per_s: float = DEFAULT_LIGHT_SPEED_M_PER_S
-
-    def __post_init__(self) -> None:
-        _require_positive("earth_radius_km", self.earth_radius_km)
-        _require_positive("light_speed_m_per_s", self.light_speed_m_per_s)
-
-
-@dataclass(frozen=True)
 class AntennaConfig:
     """Normalized reflector antenna: illumination coefficient, diameter, carrier."""
 
@@ -147,14 +130,13 @@ class DomeGeometry:
         _require_finite_nonnegative("area_km2", self.area_km2)
 
 
-def half_power_beamwidth(antenna: AntennaConfig,
-                         constants: PhysicalConstants = PhysicalConstants()) -> float:
+def half_power_beamwidth(antenna: AntennaConfig) -> float:
     """Full 3-dB beamwidth of a normalized reflector antenna, in radians.
 
     The defining formula kappa * c / (f * D) yields DEGREES; the conversion
     to radians happens here and nowhere else.
     """
-    degrees = (antenna.illumination_coefficient * constants.light_speed_m_per_s
+    degrees = (antenna.illumination_coefficient * LIGHT_SPEED_M_PER_S
                / (antenna.carrier_frequency_hz * antenna.reflector_diameter_m))
     return math.radians(degrees)
 

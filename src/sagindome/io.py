@@ -8,17 +8,14 @@ reproduces the underlying doubles bit for bit.
 
 import json
 import math
-import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import DescriptorError, InvalidParameterError, OutputError
-from .geometry import DEFAULT_EARTH_RADIUS_KM, AntennaConfig, PhysicalConstants
+from .geometry import DEFAULT_EARTH_RADIUS_KM, AntennaConfig
 from .pointprocess import SampleConfig, SampleMode, Topology
 from .scenarios import Direction, Layer, Scenario, ScenarioSpec
 from .sweeps import SweepRow
-
-ENV_EARTH_RADIUS = "SAGIN_EARTH_RADIUS_KM"
 
 _ANTENNA_KEYS = ("carrier_frequency_hz", "illumination_coefficient",
                  "reflector_diameter_m")
@@ -87,23 +84,7 @@ def _integer(data: dict, key: str) -> int:
     return value
 
 
-def _earth_radius_km(data: dict, override: float | None) -> float:
-    if override is not None:
-        return override
-    if "earth_radius_km" in data:
-        return _real(data, "earth_radius_km")
-    env = os.environ.get(ENV_EARTH_RADIUS)
-    if env is not None and env != "":
-        try:
-            return float(env)
-        except ValueError:
-            raise DescriptorError(
-                f"{ENV_EARTH_RADIUS}={env!r} is not a number") from None
-    return DEFAULT_EARTH_RADIUS_KM
-
-
-def parse_descriptor(data: object, *,
-                     earth_radius_override: float | None = None) -> Descriptor:
+def parse_descriptor(data: object) -> Descriptor:
     """Validate a descriptor object and build the scenario it describes.
 
     Unknown keys and keys inapplicable to the scenario's direction or layers
@@ -150,8 +131,6 @@ def parse_descriptor(data: object, *,
         raise DescriptorError(
             f"scenario {scenario.value} requires keys: {', '.join(missing)}")
 
-    constants = PhysicalConstants(
-        earth_radius_km=_earth_radius_km(data, earth_radius_override))
     antenna = None
     min_elevation_rad = None
     if scenario.direction is Direction.UPLINK:
@@ -168,7 +147,7 @@ def parse_descriptor(data: object, *,
         space_altitude_km=_real(data, "space_altitude_km"),
         antenna=antenna,
         min_elevation_rad=min_elevation_rad,
-        constants=constants,
+        earth_radius_km=_real(data, "earth_radius_km", DEFAULT_EARTH_RADIUS_KM),
     )
 
     mode_value = data.get("mode", SampleMode.AREA_UNIFORM.value)
@@ -191,16 +170,19 @@ def parse_descriptor(data: object, *,
     )
 
 
-def load_descriptor(path: str, *,
-                    earth_radius_override: float | None = None) -> Descriptor:
+def load_descriptor(path: str) -> Descriptor:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle, parse_constant=_reject_nonfinite)
     except OSError as exc:
         raise DescriptorError(f"cannot read descriptor {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except DescriptorError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # A syntax error, bytes that are not UTF-8, an integer beyond the
+        # interpreter's digit limit, or nesting too deep to decode.
         raise DescriptorError(f"descriptor {path} is not valid JSON: {exc}") from exc
-    return parse_descriptor(data, earth_radius_override=earth_radius_override)
+    return parse_descriptor(data)
 
 
 def format_real(value: float) -> str:

@@ -15,13 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericDomainError
-from .geometry import (
-    CLAMP_TOLERANCE,
-    DomeGeometry,
-    _require_finite_nonnegative,
-    _require_vertex_angle,
-)
+from .errors import InvalidParameterError
+from .geometry import DomeGeometry, _require_finite_nonnegative, _require_vertex_angle
 
 # The bit generator ``make_rng`` builds, by numpy's name for it.
 DEFAULT_RNG_ALGORITHM = "pcg64"
@@ -215,19 +210,13 @@ def generate(dome: DomeGeometry, config: SampleConfig) -> Topology:
 def angular_distance(points, center_direction) -> np.ndarray | float:
     """Angle(s) in radians between point vector(s) and a cap-centre direction.
 
-    Accepts one (3,) vector or an (n, 3) stack; applies the shared clamp
-    rule to the cosine before arccos.
+    Accepts one (3,) vector or an (n, 3) stack.  Evaluated as
+    atan2(|p x c|, p . c), which keeps full relative precision near 0 and pi
+    where arccos of the cosine loses about half the digits.
     """
     p = np.asarray(points, dtype=float)
     c = np.asarray(center_direction, dtype=float)
-    p_norm = np.linalg.norm(p, axis=-1)
-    c_norm = np.linalg.norm(c)
-    if c_norm == 0.0 or np.any(p_norm == 0.0):
+    if np.linalg.norm(c) == 0.0 or np.any(np.linalg.norm(p, axis=-1) == 0.0):
         raise InvalidParameterError("angular_distance is undefined for zero vectors")
-    cosine = (p @ c) / (p_norm * c_norm)
-    excess = np.max(np.abs(cosine)) - 1.0 if cosine.size else 0.0
-    if excess > CLAMP_TOLERANCE:
-        raise NumericDomainError(
-            f"direction cosine leaves [-1, 1] by {excess!r}, beyond tolerance")
-    angles = np.arccos(np.clip(cosine, -1.0, 1.0))
+    angles = np.arctan2(np.linalg.norm(np.cross(p, c), axis=-1), p @ c)
     return float(angles) if angles.ndim == 0 else angles

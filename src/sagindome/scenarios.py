@@ -7,14 +7,14 @@ The transmitter radius is always the transmitting layer's radius.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidGeometryError, InvalidParameterError
 from .geometry import (
+    DEFAULT_EARTH_RADIUS_KM,
     AntennaConfig,
     DomeGeometry,
-    PhysicalConstants,
     _require_positive,
     cap_area,
     half_power_beamwidth,
@@ -94,7 +94,7 @@ class ScenarioSpec:
     Uplink specs carry an antenna (whose beamwidth sets the cap) and no
     elevation angle; downlink specs carry a minimum elevation angle and no
     antenna.  Altitudes are required exactly for the layers the scenario
-    touches.
+    touches; each layer's radius is the Earth radius plus its altitude.
     """
 
     scenario: Scenario
@@ -102,12 +102,13 @@ class ScenarioSpec:
     space_altitude_km: float | None = None
     antenna: AntennaConfig | None = None
     min_elevation_rad: float | None = None
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
+    earth_radius_km: float = DEFAULT_EARTH_RADIUS_KM
 
     def __post_init__(self) -> None:
         sc = self.scenario
         if not isinstance(sc, Scenario):
             raise InvalidParameterError(f"scenario must be a Scenario, got {sc!r}")
+        _require_positive("earth_radius_km", self.earth_radius_km)
         if sc.direction is Direction.UPLINK:
             if self.antenna is None:
                 raise InvalidParameterError(f"{sc.value}: uplink spec requires an antenna")
@@ -153,7 +154,7 @@ class RangeViolation:
 
 
 def _layer_radius_km(spec: ScenarioSpec, layer: Layer) -> float:
-    base = spec.constants.earth_radius_km
+    base = spec.earth_radius_km
     if layer is Layer.GROUND:
         return base
     if layer is Layer.AIR:
@@ -195,7 +196,7 @@ def coverage(spec: ScenarioSpec) -> DomeGeometry:
     """Resolve the scenario end to end into its coverage dome."""
     r_t, r_r = resolve_radii(spec)
     if spec.scenario.direction is Direction.UPLINK:
-        beamwidth = half_power_beamwidth(spec.antenna, spec.constants)
+        beamwidth = half_power_beamwidth(spec.antenna)
         phi, tangent_limited = vertex_angle_uplink(beamwidth, r_t, r_r)
     else:
         phi = vertex_angle_downlink(spec.min_elevation_rad, r_t, r_r)

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import InvalidParameterError, SaginDomeError
 from .geometry import (
     CLAMP_TOLERANCE,
+    LIGHT_SPEED_M_PER_S,
     DomeGeometry,
     _require_finite_nonnegative,
     _require_positive,
@@ -171,7 +172,7 @@ def _evaluate(spec: SweepSpec, values: np.ndarray
     def radius(layer: Layer) -> np.ndarray:
         # An array even when fixed, so that ``~`` below negates a numpy
         # bool and never a Python one (~True is -2).
-        earth = base.constants.earth_radius_km
+        earth = base.earth_radius_km
         if layer is Layer.GROUND:
             return np.asarray(earth)
         if layer is Layer.AIR:
@@ -187,7 +188,7 @@ def _evaluate(spec: SweepSpec, values: np.ndarray
             antenna = base.antenna
             frequency = field(SweepParameter.CARRIER_FREQUENCY, antenna.carrier_frequency_hz)
             beamwidth = np.radians(
-                antenna.illumination_coefficient * base.constants.light_speed_m_per_s
+                antenna.illumination_coefficient * LIGHT_SPEED_M_PER_S
                 / (frequency * antenna.reflector_diameter_m))
             half = 0.5 * beamwidth
             ratio = r_t / r_r

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from sagindome import AntennaConfig, PhysicalConstants, Scenario, ScenarioSpec
+from sagindome import AntennaConfig, Scenario, ScenarioSpec
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -28,30 +28,26 @@ PUBLISHED_AREAS_KM2 = {
 AREA_RTOL = 0.005
 
 
-def reference_spec(scenario: Scenario,
-                   constants: PhysicalConstants | None = None) -> ScenarioSpec:
-    constants = constants or PhysicalConstants()
+def reference_spec(scenario: Scenario) -> ScenarioSpec:
     dish = AntennaConfig(illumination_coefficient=70.0, reflector_diameter_m=4.0,
                          carrier_frequency_hz=40e9)
     whip = AntennaConfig(illumination_coefficient=70.0, reflector_diameter_m=0.2,
                          carrier_frequency_hz=2e9)
     if scenario is Scenario.G2A:
-        return ScenarioSpec(scenario, air_altitude_km=5.0, antenna=whip,
-                            constants=constants)
+        return ScenarioSpec(scenario, air_altitude_km=5.0, antenna=whip)
     if scenario is Scenario.A2S:
         return ScenarioSpec(scenario, air_altitude_km=5.0, space_altitude_km=20000.0,
-                            antenna=dish, constants=constants)
+                            antenna=dish)
     if scenario is Scenario.G2S:
-        return ScenarioSpec(scenario, space_altitude_km=20000.0, antenna=dish,
-                            constants=constants)
+        return ScenarioSpec(scenario, space_altitude_km=20000.0, antenna=dish)
     if scenario is Scenario.A2G:
         return ScenarioSpec(scenario, air_altitude_km=5.0,
-                            min_elevation_rad=math.radians(10.0), constants=constants)
+                            min_elevation_rad=math.radians(10.0))
     if scenario is Scenario.S2A:
         return ScenarioSpec(scenario, air_altitude_km=5.0, space_altitude_km=600.0,
-                            min_elevation_rad=math.radians(30.0), constants=constants)
+                            min_elevation_rad=math.radians(30.0))
     return ScenarioSpec(scenario, space_altitude_km=600.0,
-                        min_elevation_rad=math.radians(10.0), constants=constants)
+                        min_elevation_rad=math.radians(10.0))
 
 
 @pytest.fixture

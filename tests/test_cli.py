@@ -132,14 +132,11 @@ class TestCoverageCommand:
         assert code == 2 and out == ""
         assert err == "error: area_km2 must be finite and >= 0, got inf\n"
 
-    @pytest.mark.parametrize("flags, env, name", [
-        ([], {"SAGIN_EARTH_RADIUS_KM": "inf"}, "earth_radius_km"),
-        (["--earth-radius-km", "inf"], {}, "earth_radius_km"),
-        (["--space-altitude-km", "inf"], {}, "space_altitude_km"),
-    ], ids=["env", "earth-flag", "altitude-flag"])
-    def test_infinite_downlink_input_named(self, flags, env, name, capsys, monkeypatch):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    @pytest.mark.parametrize("flags, name", [
+        (["--earth-radius-km", "inf"], "earth_radius_km"),
+        (["--space-altitude-km", "inf"], "space_altitude_km"),
+    ], ids=["earth-flag", "altitude-flag"])
+    def test_infinite_downlink_input_named(self, flags, name, capsys):
         base = ["coverage", "--scenario", "s2g", "--space-altitude-km", "600",
                 "--min-elevation-deg", "10"]
         code, out, err = run_cli(base + flags, capsys)
@@ -167,13 +164,14 @@ class TestCoverageCommand:
                                 "--scenario", "s2g"], capsys)
         assert code == 2 and "not both" in err
 
-    def test_earth_radius_sources(self, s2g_descriptor, capsys, monkeypatch):
-        monkeypatch.setenv("SAGIN_EARTH_RADIUS_KM", "6378")
-        _, out, _ = run_cli(["coverage", "--descriptor", s2g_descriptor], capsys)
-        assert json.loads(out)["r_t_km"] == 6978.0
-        _, out, _ = run_cli(["coverage", "--descriptor", s2g_descriptor,
-                             "--earth-radius-km", "6400"], capsys)
-        assert json.loads(out)["r_t_km"] == 7000.0
+    def test_earth_radius_sources(self, s2g_descriptor, capsys):
+        code, out, _ = run_cli(["coverage", "--scenario", "s2g",
+                                "--space-altitude-km", "600", "--min-elevation-deg", "10",
+                                "--earth-radius-km", "6400"], capsys)
+        assert code == 0 and json.loads(out)["r_t_km"] == 7000.0
+        code, out, err = run_cli(["coverage", "--descriptor", s2g_descriptor,
+                                  "--earth-radius-km", "6400"], capsys)
+        assert code == 2 and out == "" and "not both" in err
 
 
 class TestSweepCommand:

@@ -26,7 +26,6 @@ from sagindome import (
 from sagindome.cli import main
 from sagindome.io import (
     _CHUNK_ROWS,
-    ENV_EARTH_RADIUS,
     POINTS_CSV_HEADER,
     SWEEP_CSV_HEADER,
     dumps,
@@ -127,24 +126,11 @@ class TestParseDescriptor:
         with pytest.raises(DescriptorError, match="density_per_km2"):
             parse_descriptor(dict(S2G_DATA, density_per_km2=-1.0))
 
-    def test_earth_radius_precedence(self, monkeypatch):
-        monkeypatch.delenv(ENV_EARTH_RADIUS, raising=False)
-        assert parse_descriptor(dict(S2G_DATA)).spec.constants.earth_radius_km == 6371.0
-
-        monkeypatch.setenv(ENV_EARTH_RADIUS, "6378")
-        assert parse_descriptor(dict(S2G_DATA)).spec.constants.earth_radius_km == 6378.0
+    def test_earth_radius_precedence(self):
+        assert parse_descriptor(dict(S2G_DATA)).spec.earth_radius_km == 6371.0
 
         in_file = parse_descriptor(dict(S2G_DATA, earth_radius_km=6380))
-        assert in_file.spec.constants.earth_radius_km == 6380.0
-
-        overridden = parse_descriptor(dict(S2G_DATA, earth_radius_km=6380),
-                                      earth_radius_override=6400.0)
-        assert overridden.spec.constants.earth_radius_km == 6400.0
-
-    def test_bad_environment_value(self, monkeypatch):
-        monkeypatch.setenv(ENV_EARTH_RADIUS, "six thousand")
-        with pytest.raises(DescriptorError, match=ENV_EARTH_RADIUS):
-            parse_descriptor(dict(S2G_DATA))
+        assert in_file.spec.earth_radius_km == 6380.0
 
     def test_sample_config_requires_density_and_seed(self):
         descriptor = parse_descriptor(dict(G2S_DATA))
@@ -176,7 +162,20 @@ class TestLoadDescriptor:
         path = tmp_path / "inf.json"
         path.write_text('{"scenario": "s2g", "space_altitude_km": Infinity, '
                         '"min_elevation_deg": 10}')
-        with pytest.raises(DescriptorError, match="non-finite"):
+        with pytest.raises(DescriptorError,
+                           match="^non-finite JSON number 'Infinity' is not allowed$"):
+            load_descriptor(str(path))
+
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"scenario": "s2g", "space_altitude_km": ' + b"7" * 5000 + b"}",
+         "Exceeds the limit"),
+        (b"[" * 100_000, "maximum recursion"),
+        (b'{"scenario": "s2g"\xff}', "'utf-8' codec"),
+    ], ids=["digit-limit", "deep-nesting", "not-utf8"])
+    def test_undecodable_file(self, tmp_path, content, reason):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        with pytest.raises(DescriptorError, match=f"not valid JSON: {reason}"):
             load_descriptor(str(path))
 
 

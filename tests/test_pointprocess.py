@@ -9,14 +9,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sagindome import (
+    DomeGeometry,
     InvalidParameterError,
     SampleConfig,
     SampleMode,
     Scenario,
     angular_distance,
+    cap_area,
     cap_center_direction,
     coverage,
     generate,
@@ -302,11 +306,52 @@ class TestAngularDistance:
         assert angular_distance(point, np.array([1.0, 0.0, 0.0])) == pytest.approx(
             0.25 * math.pi, rel=1e-12)
 
+    def test_full_precision_near_zero(self):
+        # arccos of the cosine rounds this angle to 0.0.
+        point = 7000.0 * np.array([math.sin(1e-9), 0.0, math.cos(1e-9)])
+        assert angular_distance(point, np.array([0.0, 0.0, 1.0])) == pytest.approx(
+            1e-9, rel=1e-9)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidParameterError):
             angular_distance(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         with pytest.raises(InvalidParameterError):
             angular_distance(np.array([1.0, 0.0, 0.0]), np.zeros(3))
+
+
+_EDGE_VERTEX_ANGLES = (0.0, 5e-324, 1e-12, 1e-9, math.pi - 1e-9, math.pi)
+_RECEIVER_ANGLES = st.floats(-10.0, 10.0)
+
+
+class TestSamplerProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(radius=st.floats(1.0, 1e5),
+           phi=st.sampled_from(_EDGE_VERTEX_ANGLES) | st.floats(0.0, math.pi),
+           mean=st.integers(0, 40), rx_azimuth=_RECEIVER_ANGLES,
+           rx_polar=_RECEIVER_ANGLES, mode=st.sampled_from(list(SampleMode)),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_points_on_sphere_inside_cap(self, radius, phi, mean, rx_azimuth,
+                                         rx_polar, mode, seed):
+        area = cap_area(radius, phi)
+        # About ``mean`` points, or none where the cap's area underflows.
+        density = mean / area if area > 0.0 and mean / area < math.inf else 0.0
+        dome = DomeGeometry(radius, 2.0 * radius, phi, math.cos(phi), area, False)
+        config = SampleConfig(density_per_km2=density, rx_azimuth_rad=rx_azimuth,
+                              rx_polar_rad=rx_polar, mode=mode, seed=seed)
+        points = generate(dome, config).points
+        if len(points) == 0:
+            return
+        norms = np.linalg.norm(points, axis=1)
+        assert np.max(np.abs(norms / radius - 1.0)) <= 1e-12
+        angles = angular_distance(points, cap_center_direction(rx_azimuth, rx_polar))
+        assert np.max(angles) <= phi + 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rx_azimuth=_RECEIVER_ANGLES, rx_polar=_RECEIVER_ANGLES)
+    def test_yaw_pitch_matrix_orthonormal(self, rx_azimuth, rx_polar):
+        matrix = yaw_pitch_matrix(rx_azimuth, rx_polar)
+        assert np.linalg.norm(matrix @ matrix.T - np.eye(3), np.inf) <= 1e-15
+        assert abs(np.linalg.det(matrix) - 1.0) <= 1e-15
 
 
 class TestSampleConfig:

@@ -14,7 +14,6 @@ from sagindome import (
     Direction,
     InvalidGeometryError,
     InvalidParameterError,
-    PhysicalConstants,
     Scenario,
     ScenarioSpec,
     coverage,
@@ -63,7 +62,7 @@ class TestResolveRadii:
     def test_custom_earth_radius_shifts_both(self):
         spec = ScenarioSpec(Scenario.S2G, space_altitude_km=600.0,
                             min_elevation_rad=math.radians(10.0),
-                            constants=PhysicalConstants(earth_radius_km=6378.0))
+                            earth_radius_km=6378.0)
         assert resolve_radii(spec) == (6978.0, 6378.0)
 
 

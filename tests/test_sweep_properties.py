@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from sagindome import (
     AntennaConfig,
     Direction,
+    LIGHT_SPEED_M_PER_S,
     Layer,
-    PhysicalConstants,
     SaginDomeError,
     Scenario,
     ScenarioSpec,
@@ -57,7 +57,7 @@ def bases(draw):
         antenna=AntennaConfig(draw(_unit(50.0, 80.0)), draw(_unit(0.05, 10.0)),
                               draw(_unit(1e8, 5e10))) if uplink else None,
         min_elevation_rad=None if uplink else draw(_unit(0.0, 0.5 * math.pi)),
-        constants=PhysicalConstants(earth_radius_km=draw(_unit(6000.0, 6800.0))),
+        earth_radius_km=draw(_unit(6000.0, 6800.0)),
     )
 
 
@@ -69,7 +69,7 @@ def _natural_scale(base: ScenarioSpec, parameter: SweepParameter) -> float:
         r_t, r_r = resolve_radii(base)
         edge_deg = math.degrees(2.0 * math.asin(r_t / r_r))
         antenna = base.antenna
-        return (antenna.illumination_coefficient * base.constants.light_speed_m_per_s
+        return (antenna.illumination_coefficient * LIGHT_SPEED_M_PER_S
                 / (antenna.reflector_diameter_m * edge_deg))
     if parameter is SweepParameter.MIN_ELEVATION:
         return 1.0
@@ -99,7 +99,7 @@ def _boundary_distance(spec: ScenarioSpec) -> float:
     if spec.scenario.direction is Direction.DOWNLINK:
         return math.inf
     r_t, r_r = resolve_radii(spec)
-    return 0.5 * half_power_beamwidth(spec.antenna, spec.constants) - math.asin(r_t / r_r)
+    return 0.5 * half_power_beamwidth(spec.antenna) - math.asin(r_t / r_r)
 
 
 def _oracle(spec: ScenarioSpec, tangent_limited: bool) -> float:
@@ -108,8 +108,7 @@ def _oracle(spec: ScenarioSpec, tangent_limited: bool) -> float:
         return vertex_angle_downlink_oracle(spec.min_elevation_rad, r_t, r_r)
     if tangent_limited:
         return math.acos(r_t / r_r)
-    return vertex_angle_uplink_oracle(half_power_beamwidth(spec.antenna, spec.constants),
-                                      r_t, r_r)
+    return vertex_angle_uplink_oracle(half_power_beamwidth(spec.antenna), r_t, r_r)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
