@@ -48,9 +48,9 @@ from .scenarios import (
 )
 from .sweeps import (
     SweepParameter,
-    SweepRow,
     SweepScale,
     SweepSpec,
+    SweepTable,
     expected_count,
     full_sphere_count,
     run_sweep,
@@ -63,7 +63,7 @@ __all__ = [
     "DescriptorError", "Direction", "DomeGeometry", "InvalidGeometryError",
     "InvalidParameterError", "LIGHT_SPEED_M_PER_S", "Layer", "NumericDomainError",
     "OutputError", "RangeViolation", "SaginDomeError", "SampleConfig", "SampleMode",
-    "Scenario", "ScenarioSpec", "SweepParameter", "SweepRow", "SweepScale", "SweepSpec",
+    "Scenario", "ScenarioSpec", "SweepParameter", "SweepScale", "SweepSpec", "SweepTable",
     "Topology", "UnsupportedBranchError", "angular_distance", "cap_area",
     "cap_center_direction", "coverage", "expected_count", "full_sphere_count",
     "generate", "half_power_beamwidth", "load_descriptor", "make_rng",

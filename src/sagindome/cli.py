@@ -27,9 +27,9 @@ from .scenarios import Direction, Scenario, coverage, validate
 from .sweeps import (
     MAX_SWEEP_STEPS,
     SweepParameter,
-    SweepRow,
     SweepScale,
     SweepSpec,
+    SweepTable,
     check_grid,
     expected_count,
     full_sphere_count,
@@ -151,14 +151,13 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_failed_rows(rows: list[SweepRow]) -> None:
+def _report_failed_rows(sweep: SweepTable) -> None:
     """One stderr line with the count of failed rows and the first reason."""
-    failed = [row for row in rows if row.error is not None]
-    if failed:
-        first = failed[0]
-        print(f"warning: {len(failed)} of {len(rows)} sweep rows failed; first at "
-              f"param_value={format_real(first.parameter_value)}: {first.error}",
-              file=sys.stderr)
+    if sweep.errors:
+        first = min(sweep.errors)
+        print(f"warning: {len(sweep.errors)} of {len(sweep.parameter_value)} sweep rows "
+              f"failed; first at param_value={format_real(sweep.parameter_value[first])}: "
+              f"{sweep.errors[first]}", file=sys.stderr)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -190,12 +189,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         steps=args.steps,
         scale=scale,
     )
-    rows = run_sweep(sweep)
+    table = run_sweep(sweep)
     if args.output:
-        write_text_file(args.output, sweep_csv_chunks(rows))
+        write_text_file(args.output, sweep_csv_chunks(table))
     else:
-        sys.stdout.writelines(sweep_csv_chunks(rows))
-    _report_failed_rows(rows)
+        sys.stdout.writelines(sweep_csv_chunks(table))
+    _report_failed_rows(table)
     return EXIT_OK
 
 

@@ -8,14 +8,17 @@ reproduces the underlying doubles bit for bit.
 
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DescriptorError, InvalidParameterError, OutputError
 from .geometry import DEFAULT_EARTH_RADIUS_KM, AntennaConfig
 from .pointprocess import SampleConfig, SampleMode, Topology
 from .scenarios import Direction, Layer, Scenario, ScenarioSpec
-from .sweeps import SweepRow
+
+if TYPE_CHECKING:
+    from .sweeps import SweepTable
 
 _ANTENNA_KEYS = ("carrier_frequency_hz", "illumination_coefficient",
                  "reflector_diameter_m")
@@ -224,56 +227,49 @@ def dumps(payload: object, indent: int = 0) -> str:
     return json.dumps(str(payload))
 
 
-def _csv_chunks(header: str, row_template: str, rows: Sequence,
-                flatten: Callable[[Sequence], list]) -> Iterator[str]:
+def _csv_chunks(header: str, row_template: str, rows: int,
+                flatten: Callable[[slice], list]) -> Iterator[str]:
     """The header line, then the rows as text, _CHUNK_ROWS rows at a time.
 
     Each block is one ``%`` over ``row_template`` repeated once per row;
-    ``flatten`` turns a block of rows into the flat list of its values.
-    ``"%.17g" % x`` and ``format_real(x)`` make the same C call
-    (``PyOS_double_to_string(x, 'g', 17, 0)``), so the text is the same.
+    ``flatten`` turns the slice of a block's rows into the flat list of
+    their values.  ``"%.17g" % x`` and ``format_real(x)`` make the same C
+    call (``PyOS_double_to_string(x, 'g', 17, 0)``), so the text is the same.
     """
     yield header + "\n"
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        block = rows[start:start + _CHUNK_ROWS]
-        yield (row_template * len(block)) % tuple(flatten(block))
+    for start in range(0, rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, rows)
+        yield (row_template * (stop - start)) % tuple(flatten(slice(start, stop)))
 
 
-def _sweep_values(rows: Sequence[SweepRow]) -> list:
-    return [value for row in rows for value in (
-        row.parameter_value, row.vertex_angle_rad, row.area_km2,
-        "true" if row.tangent_limited else "false")]
-
-
-def sweep_csv_chunks(rows: Sequence[SweepRow]) -> Iterator[str]:
-    """Sweep rows as CSV text in chunks (LF line endings, dot decimal
+def sweep_csv_chunks(sweep: "SweepTable") -> Iterator[str]:
+    """A sweep as CSV text in chunks (LF line endings, dot decimal
     separator).
 
     Failed grid points keep their parameter value and carry nan in the
     numeric columns so plotting pipelines skip them naturally.
     """
-    return _csv_chunks(SWEEP_CSV_HEADER, "%.17g,%.17g,%.17g,%s\n", rows, _sweep_values)
+    def flatten(block: slice) -> list:
+        values = [None] * (4 * (block.stop - block.start))
+        values[0::4] = sweep.parameter_value[block].tolist()
+        values[1::4] = sweep.vertex_angle_rad[block].tolist()
+        values[2::4] = sweep.area_km2[block].tolist()
+        values[3::4] = ["true" if flag else "false"
+                        for flag in sweep.tangent_limited[block].tolist()]
+        return values
+
+    return _csv_chunks(SWEEP_CSV_HEADER, "%.17g,%.17g,%.17g,%s\n",
+                       len(sweep.parameter_value), flatten)
 
 
 def points_csv_chunks(topology: Topology) -> Iterator[str]:
     """Topology points as CSV text in chunks, one x,y,z row per point."""
-    return _csv_chunks(POINTS_CSV_HEADER, "%.17g,%.17g,%.17g\n", topology.points,
-                       lambda block: block.ravel().tolist())
+    return _csv_chunks(POINTS_CSV_HEADER, "%.17g,%.17g,%.17g\n", len(topology.points),
+                       lambda block: topology.points[block].ravel().tolist())
 
 
-def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
-    """The whole text of ``sweep_csv_chunks``."""
-    return "".join(sweep_csv_chunks(rows))
-
-
-def points_to_csv(topology: Topology) -> str:
-    """The whole text of ``points_csv_chunks``."""
-    return "".join(points_csv_chunks(topology))
-
-
-def write_text_file(path: str, text: str | Iterable[str]) -> None:
-    """Write a string, or an iterable of chunks each as it comes."""
-    chunks = (text,) if isinstance(text, str) else text
+def write_text_file(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks of a text, each as it comes."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)

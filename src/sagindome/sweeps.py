@@ -17,9 +17,9 @@ from .geometry import (
 )
 from .scenarios import Direction, Layer, ScenarioSpec, coverage
 
-# Largest grid a sweep may ask for.  Each step costs about half a kilobyte
-# at peak (float temporaries of the array pass, one SweepRow, its CSV line),
-# so a CLI sweep at the cap peaks near 0.6 GB.
+# Largest grid a sweep may ask for.  Each step costs about 70 bytes at peak
+# (the float temporaries of the array pass and the result columns), so a CLI
+# sweep at the cap peaks near 110 MB.
 MAX_SWEEP_STEPS = 1_000_000
 
 
@@ -73,6 +73,8 @@ def check_grid(low: float, high: float, steps: int, scale: SweepScale) -> None:
         raise InvalidParameterError(
             f"sweep range requires low < high and a finite high - low, "
             f"got low={low!r} high={high!r}")
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise InvalidParameterError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise InvalidParameterError(f"steps must be >= 2, got {steps!r}")
     if steps > MAX_SWEEP_STEPS:
@@ -93,16 +95,16 @@ def parameter_applicable(parameter: SweepParameter, scenario) -> bool:
     return Layer.SPACE in scenario.layers
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point; ``error`` carries the failure message for points that
-    could not be evaluated instead of aborting the sweep."""
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A sweep's grid points as columns, in grid order.  A point that could
+    not be evaluated holds nan, nan and False; ``errors`` maps its index to why."""
 
-    parameter_value: float
-    vertex_angle_rad: float
-    area_km2: float
-    tangent_limited: bool
-    error: str | None = None
+    parameter_value: np.ndarray
+    vertex_angle_rad: np.ndarray
+    area_km2: np.ndarray
+    tangent_limited: np.ndarray
+    errors: dict[int, str]
 
 
 def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> np.ndarray:
@@ -153,14 +155,14 @@ def _evaluate(spec: SweepSpec, values: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``coverage`` at every grid value in one array pass.
 
-    Returns (vertex angle, area, tangent_limited, irregular).  The closed
-    forms and their operation order are those of ``coverage``; only the
-    transcendental functions come from numpy instead of ``math``.  Squares
-    go through ``np.float_power``, the C library's ``pow`` that Python's
-    ``x ** 2`` calls, because ``x * x`` differs from it in the last bit for
-    about one value in a thousand, and arccos near 1 magnifies that.  An
-    ``irregular`` row is one the scalar path rejects (an invalid scenario,
-    radii in the wrong order, which float rounding allows for tiny
+    Returns new arrays (vertex angle, area, tangent_limited, irregular).
+    The closed forms and their operation order are those of ``coverage``;
+    only the transcendental functions come from numpy instead of ``math``.
+    Squares go through ``np.float_power``, the C library's ``pow`` that
+    Python's ``x ** 2`` calls, because ``x * x`` differs from it in the last
+    bit for about one value in a thousand, and arccos near 1 magnifies that.
+    An ``irregular`` row is one the scalar path rejects (an invalid
+    scenario, radii in the wrong order, which float rounding allows for tiny
     altitudes, a beam outside (0, pi), a clamp exceeded beyond tolerance) or
     whose result is not finite; its other columns are meaningless.
     """
@@ -209,40 +211,34 @@ def _evaluate(spec: SweepSpec, values: np.ndarray
             radicand = 1.0 - np.float_power(k * c, 2.0)
             delta = k * c * c + np.sin(elevation) * np.sqrt(np.maximum(radicand, 0.0))
             phi, beyond = _acos_clamped(delta)
-            tangent = False
+            tangent = np.zeros(values.shape, dtype=bool)
             irregular = (irregular | ~(r_r > 0.0) | (r_r >= r_t)
                          | (-radicand > CLAMP_TOLERANCE) | beyond)
         half_sin = np.sin(0.5 * phi)
         area = 4.0 * math.pi * r_t * r_t * half_sin * half_sin
-    irregular = irregular | ~np.isfinite(phi) | ~np.isfinite(area)
-    shape = values.shape
-    return (np.broadcast_to(phi, shape), np.broadcast_to(area, shape),
-            np.broadcast_to(tangent, shape), np.broadcast_to(irregular, shape))
+    return phi, area, tangent, irregular | ~np.isfinite(phi) | ~np.isfinite(area)
 
 
-def _scalar_row(spec: SweepSpec, value: float) -> SweepRow:
-    """One grid point through the scalar ``coverage`` path."""
-    try:
-        dome: DomeGeometry = coverage(_with_parameter(spec.base, spec.parameter, value))
-    except SaginDomeError as exc:
-        return SweepRow(value, math.nan, math.nan, False, error=str(exc))
-    return SweepRow(value, dome.vertex_angle_rad, dome.area_km2, dome.tangent_limited)
-
-
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate coverage at each grid point, in grid order.
 
     The grid is evaluated in one array pass.  Rows the pass marks irregular
-    are evaluated again by the scalar ``coverage`` path, which supplies the
-    ``error`` text of every failed row.
+    are evaluated again by the scalar ``coverage`` path, whose result is
+    written in place and which supplies the error text of every failed row.
     """
     values = grid_values(spec.low, spec.high, spec.steps, spec.scale)
     phi, area, tangent, irregular = _evaluate(spec, values)
-    rows = [SweepRow(*row) for row in
-            zip(values.tolist(), phi.tolist(), area.tolist(), tangent.tolist())]
+    errors = {}
     for index in np.flatnonzero(irregular).tolist():
-        rows[index] = _scalar_row(spec, rows[index].parameter_value)
-    return rows
+        # A float, not np.float64, so error texts quote it as the scalar path does.
+        try:
+            dome = coverage(_with_parameter(spec.base, spec.parameter, float(values[index])))
+            row = dome.vertex_angle_rad, dome.area_km2, dome.tangent_limited
+        except SaginDomeError as exc:
+            errors[index] = str(exc)
+            row = math.nan, math.nan, False
+        phi[index], area[index], tangent[index] = row
+    return SweepTable(values, phi, area, tangent, errors)
 
 
 def expected_count(dome: DomeGeometry, density_per_km2: float) -> tuple[float, int]:

@@ -126,23 +126,24 @@ def test_criterion_06_oracle_equivalence():
 @criterion(7, "monotone trends: area vs f, alpha, H_a, H_s on 50-step grids")
 def test_criterion_07_monotone_trends():
     started = time.perf_counter()
-    vs_frequency = [row.area_km2 for row in run_sweep(SweepSpec(
+    vs_frequency = run_sweep(SweepSpec(
         reference_spec(Scenario.G2S), SweepParameter.CARRIER_FREQUENCY,
-        2e9, 40e9, 50))]
+        2e9, 40e9, 50)).area_km2.tolist()
     assert all(b < a for a, b in zip(vs_frequency, vs_frequency[1:]))
 
-    vs_elevation = [row.area_km2 for row in run_sweep(SweepSpec(
+    vs_elevation = run_sweep(SweepSpec(
         reference_spec(Scenario.S2G), SweepParameter.MIN_ELEVATION,
-        math.radians(5.0), math.radians(30.0), 50))]
+        math.radians(5.0), math.radians(30.0), 50)).area_km2.tolist()
     assert all(b < a for a, b in zip(vs_elevation, vs_elevation[1:]))
 
-    vs_air_altitude = [row.area_km2 for row in run_sweep(SweepSpec(
-        reference_spec(Scenario.G2A), SweepParameter.AIR_ALTITUDE, 1.0, 50.0, 50))]
+    vs_air_altitude = run_sweep(SweepSpec(
+        reference_spec(Scenario.G2A), SweepParameter.AIR_ALTITUDE,
+        1.0, 50.0, 50)).area_km2.tolist()
     assert all(b >= a for a, b in zip(vs_air_altitude, vs_air_altitude[1:]))
 
-    vs_space_altitude = [row.area_km2 for row in run_sweep(SweepSpec(
+    vs_space_altitude = run_sweep(SweepSpec(
         reference_spec(Scenario.S2G), SweepParameter.SPACE_ALTITUDE,
-        500.0, 35786.0, 50))]
+        500.0, 35786.0, 50)).area_km2.tolist()
     assert all(b >= a for a, b in zip(vs_space_altitude, vs_space_altitude[1:]))
     assert time.perf_counter() - started < 1.0
 

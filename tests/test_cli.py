@@ -23,7 +23,7 @@ from sagindome import (
 import sagindome
 from sagindome import pointprocess
 from sagindome.cli import main
-from sagindome.io import sweep_rows_to_csv
+from sagindome.io import sweep_csv_chunks
 from sagindome.pointprocess import MAX_SAMPLE_POINTS
 from sagindome.sweeps import MAX_SWEEP_STEPS
 
@@ -283,17 +283,17 @@ class TestSweepCommand:
             "--illumination-coefficient", "70", "--reflector-diameter-m", "0.2",
             "--param", "carrier_frequency", "--from", "300e6", "--to", "2.4e9",
             "--steps", "22", "--scale", "log"], capsys)
-        rows = run_sweep(SweepSpec(
+        table = run_sweep(SweepSpec(
             ScenarioSpec(Scenario.G2A, air_altitude_km=5.0,
                          antenna=AntennaConfig(70.0, 0.2, 2e9)),
             SweepParameter.CARRIER_FREQUENCY, 300e6, 2.4e9, 22, SweepScale.LOGARITHMIC))
-        failed = [row for row in rows if row.error is not None]
+        failed = [table.errors[index] for index in sorted(table.errors)]
         assert code == 0
-        assert out == sweep_rows_to_csv(rows)
+        assert out == "".join(sweep_csv_chunks(table))
         assert len(failed) == 7
         assert err == (f"warning: 7 of 22 sweep rows failed; first at "
-                       f"param_value=300000000: {failed[0].error}\n")
-        assert failed[0].error.startswith("beamwidth_rad must lie in (0, pi)")
+                       f"param_value=300000000: {failed[0]}\n")
+        assert failed[0].startswith("beamwidth_rad must lie in (0, pi)")
 
     def test_no_report_without_failed_rows(self, capsys):
         code, _, err = run_cli([

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from sagindome import (
@@ -96,11 +98,14 @@ class TestVertexAngleUplink:
         assert tangent is False
         assert phi == pytest.approx(math.acos(r_t / r_r), abs=1e-7)
 
-    def test_branch_transition_is_continuous(self):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(1.0, 1e5), st.floats(-6.0, 1.5))
+    def test_branch_transition_is_continuous(self, r_t, log_gap):
         # The vertex angle has a square-root cusp at tangency, so the gap
         # across the branch point at offset eps scales like
-        # sqrt(2 * eps * sqrt(k^2 - 1)) rather than linearly in eps.
-        r_t, r_r = 6371.0, 26371.0
+        # sqrt(2 * eps * sqrt(k^2 - 1)) rather than linearly in eps.  The
+        # receiver sits 1e-6 to ~30 transmitter radii above the transmitter.
+        r_r = r_t * (1.0 + 10.0 ** log_gap)
         k = r_r / r_t
         limit = math.asin(r_t / r_r)
         phi_tangent = math.acos(r_t / r_r)

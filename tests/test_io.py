@@ -7,16 +7,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sagindome import (
     DescriptorError,
+    Direction,
     InvalidParameterError,
+    Layer,
     SampleConfig,
     SampleMode,
     Scenario,
+    SweepTable,
     Topology,
     coverage,
     generate,
@@ -31,12 +34,9 @@ from sagindome.io import (
     dumps,
     format_real,
     points_csv_chunks,
-    points_to_csv,
     sweep_csv_chunks,
-    sweep_rows_to_csv,
     write_text_file,
 )
-from sagindome.sweeps import SweepRow
 from conftest import reference_spec
 
 S2G_DATA = {
@@ -54,6 +54,42 @@ G2S_DATA = {
     "illumination_coefficient": 70,
     "reflector_diameter_m": 4,
 }
+
+
+def _number(low: float, high: float):
+    """An integer or a float in [low, high], as a descriptor may hold either."""
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)),
+                     st.floats(low, high, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def valid_descriptors(draw) -> dict:
+    """Any valid descriptor of the six scenarios, with or without each
+    optional key."""
+    scenario = draw(st.sampled_from(list(Scenario)))
+    data = {"scenario": scenario.value}
+    if scenario.direction is Direction.UPLINK:
+        data["carrier_frequency_hz"] = draw(_number(1e6, 1e12))
+        data["illumination_coefficient"] = draw(_number(1.0, 100.0))
+        data["reflector_diameter_m"] = draw(_number(0.01, 100.0))
+    else:
+        data["min_elevation_deg"] = draw(_number(0.0, 90.0))
+    if Layer.AIR in scenario.layers:
+        data["air_altitude_km"] = draw(_number(0.5, 100.0))
+    if Layer.SPACE in scenario.layers:
+        data["space_altitude_km"] = draw(_number(200.0, 1e6))
+    optional = {
+        "earth_radius_km": _number(1.0, 1e5),
+        "density_per_km2": _number(0.0, 1e3),
+        "rx_azimuth_deg": _number(-720.0, 720.0),
+        "rx_polar_deg": _number(-180.0, 180.0),
+        "seed": st.integers(0, 2 ** 64 - 1),
+        "mode": st.sampled_from([mode.value for mode in SampleMode]),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            data[key] = draw(values)
+    return data
 
 
 class TestParseDescriptor:
@@ -178,6 +214,15 @@ class TestLoadDescriptor:
         with pytest.raises(DescriptorError, match=f"not valid JSON: {reason}"):
             load_descriptor(str(path))
 
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(valid_descriptors())
+    def test_file_round_trip(self, tmp_path, data):
+        # The file is rewritten for every example.
+        path = tmp_path / "scenario.json"
+        path.write_text(dumps(data), encoding="utf-8")
+        assert load_descriptor(str(path)) == parse_descriptor(data)
+
 
 class TestFormatting:
     def test_seventeen_digits_round_trip(self):
@@ -211,9 +256,9 @@ class TestFormatting:
 
 class TestCsvWriters:
     def test_sweep_header_and_rows(self):
-        rows = [SweepRow(2e9, 0.07, 660716.5, False),
-                SweepRow(4e9, math.nan, math.nan, False, error="no value")]
-        text = sweep_rows_to_csv(rows)
+        table = table_of([(2e9, 0.07, 660716.5, False), (4e9, math.nan, math.nan, False)],
+                         errors={1: "no value"})
+        text = "".join(sweep_csv_chunks(table))
         lines = text.split("\n")
         assert lines[0] == SWEEP_CSV_HEADER
         assert lines[1].startswith("2000000000,")
@@ -225,7 +270,7 @@ class TestCsvWriters:
         from sagindome import SampleConfig
         dome = coverage(s2g_spec)
         topology = generate(dome, SampleConfig(density_per_km2=5e-6, seed=3))
-        text = points_to_csv(topology)
+        text = "".join(points_csv_chunks(topology))
         lines = text.strip().split("\n")
         assert lines[0] == POINTS_CSV_HEADER
         assert len(lines) == 1 + topology.count
@@ -236,7 +281,7 @@ class TestCsvWriters:
         from sagindome import SampleConfig
         dome = coverage(s2g_spec)
         topology = generate(dome, SampleConfig(density_per_km2=0.0, seed=3))
-        assert points_to_csv(topology) == POINTS_CSV_HEADER + "\n"
+        assert "".join(points_csv_chunks(topology)) == POINTS_CSV_HEADER + "\n"
 
 
 # Values whose text is easy to get wrong: nan, both infinities, negative
@@ -254,12 +299,20 @@ def per_value_points_csv(points) -> str:
 
 
 def per_value_sweep_csv(rows) -> str:
+    """The sweep CSV of (param, phi, area, tangent) rows, one ``format_real``
+    call per value."""
     lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(",".join((
-            format_real(row.parameter_value), format_real(row.vertex_angle_rad),
-            format_real(row.area_km2), "true" if row.tangent_limited else "false")))
+    for value, phi, area, tangent_limited in rows:
+        lines.append(",".join((format_real(value), format_real(phi), format_real(area),
+                               "true" if tangent_limited else "false")))
     return "\n".join(lines) + "\n"
+
+
+def table_of(rows, errors=None) -> SweepTable:
+    """A sweep table of (param, phi, area, tangent) rows."""
+    columns = list(zip(*rows)) or [(), (), (), ()]
+    return SweepTable(*(np.array(column, dtype=float) for column in columns[:3]),
+                      np.array(columns[3], dtype=bool), errors or {})
 
 
 def topology_of(points: np.ndarray) -> Topology:
@@ -290,12 +343,12 @@ class TestChunkedCsv:
         points = special_points(n)
         topology = topology_of(points)
         chunks = list(points_csv_chunks(topology))
-        assert points_to_csv(topology) == "".join(chunks) == per_value_points_csv(points)
+        assert "".join(chunks) == per_value_points_csv(points)
         assert len(chunks) == 1 + -(-n // _CHUNK_ROWS)
 
     def test_points_special_values_text(self):
-        text = points_to_csv(topology_of(np.array([SPECIAL_VALUES[:3], SPECIAL_VALUES[3:6],
-                                                   SPECIAL_VALUES[6:9]])))
+        text = "".join(points_csv_chunks(topology_of(np.array(
+            [SPECIAL_VALUES[:3], SPECIAL_VALUES[3:6], SPECIAL_VALUES[6:9]]))))
         assert text == ("x_km,y_km,z_km\nnan,inf,-inf\n-0,0,4.9406564584124654e-324\n"
                         "-4.9406564584124654e-324,1.7976931348623157e+308,"
                         "-1.7976931348623157e+308\n")
@@ -303,11 +356,12 @@ class TestChunkedCsv:
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_sweep_bytes_equal_per_value_join(self, n):
         values = special_points(n)
-        rows = [SweepRow(p, math.nan, math.nan, False, error="no value")
-                if i % 5 == 0 else SweepRow(p, phi, area, i % 3 == 0)
+        rows = [(p, math.nan, math.nan, False) if i % 5 == 0 else (p, phi, area, i % 3 == 0)
                 for i, (p, phi, area) in enumerate(values.tolist())]
-        text = sweep_rows_to_csv(rows)
-        assert text == "".join(sweep_csv_chunks(rows)) == per_value_sweep_csv(rows)
+        chunks = list(sweep_csv_chunks(table_of(rows)))
+        text = "".join(chunks)
+        assert text == per_value_sweep_csv(rows)
+        assert len(chunks) == 1 + -(-n // _CHUNK_ROWS)
         if n > 5:
             assert ",nan,nan,false\n" in text and ",true\n" in text
 
@@ -315,14 +369,13 @@ class TestChunkedCsv:
     @given(arrays(np.float64, st.tuples(st.integers(0, 8), st.just(3)),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
     def test_points_property(self, points):
-        assert points_to_csv(topology_of(points)) == per_value_points_csv(points)
+        assert "".join(points_csv_chunks(topology_of(points))) == per_value_points_csv(points)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.booleans()),
                     max_size=20))
     def test_sweep_property(self, fields):
-        rows = [SweepRow(*row) for row in fields]
-        assert sweep_rows_to_csv(rows) == per_value_sweep_csv(rows)
+        assert "".join(sweep_csv_chunks(table_of(fields))) == per_value_sweep_csv(fields)
 
 
 class TestCsvFiles:

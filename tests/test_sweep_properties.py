@@ -114,26 +114,28 @@ def _oracle(spec: ScenarioSpec, tangent_limited: bool) -> float:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sweeps())
 def test_array_pass_matches_scalar_path(spec):
-    rows = run_sweep(spec)
+    table = run_sweep(spec)
     grid = grid_values(spec.low, spec.high, spec.steps, spec.scale).tolist()
-    assert [row.parameter_value for row in rows] == grid
-    for row, value in zip(rows, grid):
+    assert table.parameter_value.tolist() == grid
+    assert set(table.errors) <= set(range(len(grid)))
+    rows = zip(grid, table.vertex_angle_rad.tolist(), table.area_km2.tolist(),
+               table.tangent_limited.tolist())
+    for index, (value, phi, area, tangent_limited) in enumerate(rows):
         try:
             point = _with_parameter(spec.base, spec.parameter, value)
             dome = coverage(point)
         except SaginDomeError as exc:
-            assert row.error == str(exc)
-            assert math.isnan(row.vertex_angle_rad) and math.isnan(row.area_km2)
-            assert not row.tangent_limited
+            assert table.errors.get(index) == str(exc)
+            assert math.isnan(phi) and math.isnan(area)
+            assert not tangent_limited
             continue
-        assert row.error is None
-        phi = row.vertex_angle_rad
+        assert index not in table.errors
         near_boundary = abs(_boundary_distance(point)) <= BOUNDARY_RAD
-        if row.tangent_limited != dome.tangent_limited:
+        if tangent_limited != dome.tangent_limited:
             # Only an ulp of the threshold apart: the branches meet there.
             assert near_boundary
             continue
         assert abs(phi - dome.vertex_angle_rad) <= SCALAR_RAD
-        assert math.isclose(row.area_km2, dome.area_km2, rel_tol=AREA_RTOL, abs_tol=0.0)
+        assert math.isclose(area, dome.area_km2, rel_tol=AREA_RTOL, abs_tol=0.0)
         if not near_boundary and phi >= ORACLE_MIN_PHI:
-            assert abs(phi - _oracle(point, row.tangent_limited)) <= ORACLE_RAD
+            assert abs(phi - _oracle(point, tangent_limited)) <= ORACLE_RAD

@@ -11,9 +11,9 @@ from sagindome import (
     Scenario,
     ScenarioSpec,
     SweepParameter,
-    SweepRow,
     SweepScale,
     SweepSpec,
+    SweepTable,
     coverage,
     expected_count,
     full_sphere_count,
@@ -24,9 +24,9 @@ from sagindome.sweeps import MAX_SWEEP_STEPS
 from conftest import reference_spec
 
 
-def _areas(rows: list[SweepRow]) -> list[float]:
-    assert all(row.error is None for row in rows)
-    return [row.area_km2 for row in rows]
+def _areas(table: SweepTable) -> list[float]:
+    assert not table.errors
+    return table.area_km2.tolist()
 
 
 class TestSweepSpecValidation:
@@ -34,6 +34,12 @@ class TestSweepSpecValidation:
         with pytest.raises(InvalidParameterError):
             SweepSpec(reference_spec(Scenario.G2S), SweepParameter.CARRIER_FREQUENCY,
                       40e9, 2e9, 10)
+
+    @pytest.mark.parametrize("steps", [10.0, 2.5, True])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(InvalidParameterError, match="steps must be an integer"):
+            SweepSpec(reference_spec(Scenario.G2S), SweepParameter.CARRIER_FREQUENCY,
+                      2e9, 40e9, steps)
 
     def test_requires_two_steps(self):
         with pytest.raises(InvalidParameterError):
@@ -71,16 +77,16 @@ class TestSweepSpecValidation:
 
 class TestRunSweep:
     def test_two_steps_hit_the_endpoints(self):
-        rows = run_sweep(SweepSpec(reference_spec(Scenario.G2S),
-                                   SweepParameter.CARRIER_FREQUENCY, 2e9, 40e9, 2))
-        assert [row.parameter_value for row in rows] == [2e9, 40e9]
+        table = run_sweep(SweepSpec(reference_spec(Scenario.G2S),
+                                    SweepParameter.CARRIER_FREQUENCY, 2e9, 40e9, 2))
+        assert table.parameter_value.tolist() == [2e9, 40e9]
 
     def test_rows_in_grid_order_linear_and_log(self):
         for scale in SweepScale:
-            rows = run_sweep(SweepSpec(reference_spec(Scenario.G2S),
-                                       SweepParameter.CARRIER_FREQUENCY,
-                                       2e9, 40e9, 17, scale))
-            values = [row.parameter_value for row in rows]
+            table = run_sweep(SweepSpec(reference_spec(Scenario.G2S),
+                                        SweepParameter.CARRIER_FREQUENCY,
+                                        2e9, 40e9, 17, scale))
+            values = table.parameter_value.tolist()
             assert len(values) == 17
             assert values == sorted(values)
             assert values[0] == pytest.approx(2e9, rel=1e-12)
@@ -119,15 +125,15 @@ class TestRunSweep:
     def test_failed_grid_points_are_recorded_not_raised(self):
         # Below ~583 MHz the 0.2 m reflector's beam exceeds 180 degrees and
         # the vertex-angle formula has no value; those rows carry the error.
-        rows = run_sweep(SweepSpec(reference_spec(Scenario.G2A),
-                                   SweepParameter.CARRIER_FREQUENCY,
-                                   300e6, 2.4e9, 22, SweepScale.LOGARITHMIC))
-        failed = [row for row in rows if row.error is not None]
-        succeeded = [row for row in rows if row.error is None]
-        assert failed and succeeded
-        assert all(math.isnan(row.area_km2) for row in failed)
-        assert all(row.parameter_value < 583.1e6 for row in failed)
-        assert all(row.area_km2 > 0 for row in succeeded)
+        table = run_sweep(SweepSpec(reference_spec(Scenario.G2A),
+                                    SweepParameter.CARRIER_FREQUENCY,
+                                    300e6, 2.4e9, 22, SweepScale.LOGARITHMIC))
+        failed = np.zeros(len(table.parameter_value), dtype=bool)
+        failed[list(table.errors)] = True
+        assert failed.any() and not failed.all()
+        assert np.isnan(table.area_km2[failed]).all()
+        assert (table.parameter_value[failed] < 583.1e6).all()
+        assert (table.area_km2[~failed] > 0).all()
 
     @pytest.mark.parametrize("scenario,parameter,low,high,failures", [
         # Air altitudes from 1 km up past the 20000 km space layer.
@@ -147,32 +153,36 @@ class TestRunSweep:
             return coverage(spec)
 
         monkeypatch.setattr(sweeps, "coverage", counting_coverage)
-        rows = run_sweep(SweepSpec(reference_spec(scenario), parameter, low, high, 300))
-        assert sum(row.error is not None for row in rows) == failures
+        table = run_sweep(SweepSpec(reference_spec(scenario), parameter, low, high, 300))
+        assert len(table.errors) == failures
         assert len(calls) <= failures
 
     def test_deterministic(self):
         spec = SweepSpec(reference_spec(Scenario.S2G), SweepParameter.MIN_ELEVATION,
                          math.radians(5.0), math.radians(30.0), 13)
-        assert run_sweep(spec) == run_sweep(spec)
+        first, second = run_sweep(spec), run_sweep(spec)
+        for column in ("parameter_value", "vertex_angle_rad", "area_km2", "tangent_limited"):
+            assert np.array_equal(getattr(first, column), getattr(second, column))
+        assert first.errors == second.errors
 
     def test_overflowing_area_is_a_failed_row(self):
-        rows = run_sweep(SweepSpec(reference_spec(Scenario.S2G),
-                                   SweepParameter.SPACE_ALTITUDE, 1e150, 1e308, 3,
-                                   SweepScale.LOGARITHMIC))
-        assert rows[0].error is None and math.isfinite(rows[0].area_km2)
-        for row in rows[1:]:
-            assert row.error == "area_km2 must be finite and >= 0, got inf"
-            assert math.isnan(row.area_km2) and math.isnan(row.vertex_angle_rad)
+        table = run_sweep(SweepSpec(reference_spec(Scenario.S2G),
+                                    SweepParameter.SPACE_ALTITUDE, 1e150, 1e308, 3,
+                                    SweepScale.LOGARITHMIC))
+        assert 0 not in table.errors and math.isfinite(table.area_km2[0])
+        for index in (1, 2):
+            assert table.errors[index] == "area_km2 must be finite and >= 0, got inf"
+            assert math.isnan(table.area_km2[index])
+            assert math.isnan(table.vertex_angle_rad[index])
 
     def test_tangent_limited_rows_are_flagged(self):
         # Sweeping the receiver altitude across a wide 175-degree beam: high
         # altitudes fall back to the tangent cone.
         base = ScenarioSpec(Scenario.G2A, air_altitude_km=5.0,
                             antenna=AntennaConfig(70.0, 0.2, 0.6e9))
-        rows = run_sweep(SweepSpec(base, SweepParameter.AIR_ALTITUDE, 1.0, 50.0, 25))
-        assert any(row.tangent_limited for row in rows)
-        assert all(row.error is None for row in rows)
+        table = run_sweep(SweepSpec(base, SweepParameter.AIR_ALTITUDE, 1.0, 50.0, 25))
+        assert table.tangent_limited.any()
+        assert not table.errors
 
 
 class TestCountArithmetic:
