@@ -1,6 +1,8 @@
 """Spherical-dome coverage geometry and seeded transmitter sampling for
 cross-layer space-air-ground links."""
 
+import importlib
+
 from .errors import (
     DescriptorError,
     InvalidGeometryError,
@@ -17,6 +19,8 @@ from .geometry import (
     AntennaConfig,
     DomeGeometry,
     cap_area,
+    expected_count,
+    full_sphere_count,
     half_power_beamwidth,
     vertex_angle_downlink,
     vertex_angle_downlink_oracle,
@@ -24,37 +28,44 @@ from .geometry import (
     vertex_angle_uplink_oracle,
 )
 from .io import Descriptor, load_descriptor, parse_descriptor
-from .pointprocess import (
-    SampleConfig,
-    SampleMode,
-    Topology,
-    angular_distance,
-    cap_center_direction,
-    generate,
-    make_rng,
-    poisson_count,
-    sample_cap_angles,
-    yaw_pitch_matrix,
-)
 from .scenarios import (
     Direction,
     Layer,
     RangeViolation,
+    SampleConfig,
+    SampleMode,
     Scenario,
     ScenarioSpec,
+    SweepParameter,
+    SweepScale,
+    SweepSpec,
     coverage,
     resolve_radii,
     validate,
 )
-from .sweeps import (
-    SweepParameter,
-    SweepScale,
-    SweepSpec,
-    SweepTable,
-    expected_count,
-    full_sphere_count,
-    run_sweep,
-)
+
+# The names that need numpy, by defining module.  Each is imported on first
+# access and then cached here, so ``import sagindome`` loads no numpy.
+_NUMPY_NAMES = {
+    **dict.fromkeys(("Topology", "angular_distance", "cap_center_direction", "generate",
+                     "make_rng", "poisson_count", "sample_cap_angles", "yaw_pitch_matrix"),
+                    "pointprocess"),
+    "SweepTable": "sweeps",
+    "run_sweep": "sweeps",
+}
+
+
+def __getattr__(name: str):
+    if name not in _NUMPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_NUMPY_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_NUMPY_NAMES))
+
 
 __version__ = "0.1.0"
 

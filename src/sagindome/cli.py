@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success, 2 for any input problem (flags, descriptor,
 geometry), 3 when an output file or standard output cannot be written.
+
+Only the ``sweep`` and ``sample`` handlers import numpy (through ``sweeps`` and
+``pointprocess``), so ``coverage``, ``count`` and ``--help`` start without it.
 """
 
 import argparse
@@ -9,9 +12,10 @@ import contextlib
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import OutputError, SaginDomeError
-from .geometry import half_power_beamwidth
+from .geometry import expected_count, full_sphere_count, half_power_beamwidth
 from .io import (
     Descriptor,
     dumps,
@@ -22,22 +26,21 @@ from .io import (
     sweep_csv_chunks,
     write_text_file,
 )
-from .pointprocess import DEFAULT_RNG_ALGORITHM, generate
-from .scenarios import Direction, Scenario, coverage, validate
-from .sweeps import (
+from .scenarios import (
     MAX_SWEEP_STEPS,
+    Direction,
+    Scenario,
     SweepParameter,
     SweepScale,
     SweepSpec,
-    SweepTable,
     check_grid,
-    expected_count,
-    full_sphere_count,
-    grid_values,
-    invalid_values,
+    coverage,
     parameter_applicable,
-    run_sweep,
+    validate,
 )
+
+if TYPE_CHECKING:
+    from .sweeps import SweepTable
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -151,7 +154,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_failed_rows(sweep: SweepTable) -> None:
+def _report_failed_rows(sweep: "SweepTable") -> None:
     """One stderr line with the count of failed rows and the first reason."""
     if sweep.errors:
         first = min(sweep.errors)
@@ -161,6 +164,8 @@ def _report_failed_rows(sweep: SweepTable) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweeps import grid_values, invalid_values, run_sweep
+
     parameter = SweepParameter(args.param)
     scale = SweepScale(args.scale)
     # Checked in CLI units, before anything the size of the grid exists.
@@ -199,6 +204,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from .pointprocess import DEFAULT_RNG_ALGORITHM, generate
+
     descriptor = _descriptor_from_args(args)
     config = descriptor.sample_config()
     dome = coverage(descriptor.spec)

@@ -2,8 +2,9 @@
 
 A receiver observing a sphere of transmitters covers a spherical cap, whose
 Earth-central vertex angle follows from the receiver's beamwidth (uplink) or
-minimum elevation angle (downlink).  This module holds those closed forms
-plus the difference-of-angles identities used as independent cross-checks.
+minimum elevation angle (downlink).  This module holds those closed forms,
+the difference-of-angles identities used as independent cross-checks, and
+the expected node counts of a cap and of a whole sphere.
 
 Every angle crossing these functions is in radians and every length in
 kilometres.  The single deliberate exception is the reflector-antenna
@@ -134,11 +135,15 @@ def half_power_beamwidth(antenna: AntennaConfig) -> float:
     """Full 3-dB beamwidth of a normalized reflector antenna, in radians.
 
     The defining formula kappa * c / (f * D) yields DEGREES; the conversion
-    to radians happens here and nowhere else.
+    to radians happens here and nowhere else.  Two positive inputs whose
+    product f * D underflows to zero are refused.
     """
-    degrees = (antenna.illumination_coefficient * LIGHT_SPEED_M_PER_S
-               / (antenna.carrier_frequency_hz * antenna.reflector_diameter_m))
-    return math.radians(degrees)
+    product = antenna.carrier_frequency_hz * antenna.reflector_diameter_m
+    if product == 0.0:
+        raise InvalidParameterError(
+            f"carrier_frequency_hz * reflector_diameter_m underflows to 0: "
+            f"{antenna.carrier_frequency_hz!r} * {antenna.reflector_diameter_m!r}")
+    return math.radians(antenna.illumination_coefficient * LIGHT_SPEED_M_PER_S / product)
 
 
 def vertex_angle_uplink(beamwidth_rad: float, r_t_km: float,
@@ -223,3 +228,27 @@ def vertex_angle_downlink_oracle(elevation_rad: float, r_t_km: float,
     cosine = _clamp_cosine((r_r_km / r_t_km) * math.cos(elevation_rad),
                            "downlink oracle cosine")
     return math.acos(cosine) - elevation_rad
+
+
+def expected_count(dome: DomeGeometry, density_per_km2: float) -> tuple[float, int]:
+    """(density * area, floor(density * area)): the exact product and the
+    integer mean actually fed to the Poisson draw."""
+    _require_finite_nonnegative("density_per_km2", density_per_km2)
+    product = density_per_km2 * dome.area_km2
+    if not math.isfinite(product):
+        raise InvalidParameterError(
+            f"expected count density * area overflows: {density_per_km2!r} * "
+            f"{dome.area_km2!r}")
+    return product, int(math.floor(product))
+
+
+def full_sphere_count(radius_km: float, density_per_km2: float) -> float:
+    """Expected node count of a whole sphere, 4*pi*r^2 * density."""
+    _require_positive("radius_km", radius_km)
+    _require_finite_nonnegative("density_per_km2", density_per_km2)
+    count = 4.0 * math.pi * radius_km * radius_km * density_per_km2
+    if not math.isfinite(count):
+        raise InvalidParameterError(
+            f"full-sphere count 4*pi*r^2 * density overflows: radius_km={radius_km!r}, "
+            f"density_per_km2={density_per_km2!r}")
+    return count

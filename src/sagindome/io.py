@@ -14,10 +14,10 @@ from typing import TYPE_CHECKING
 
 from .errors import DescriptorError, InvalidParameterError, OutputError
 from .geometry import DEFAULT_EARTH_RADIUS_KM, AntennaConfig
-from .pointprocess import SampleConfig, SampleMode, Topology
-from .scenarios import Direction, Layer, Scenario, ScenarioSpec
+from .scenarios import Direction, Layer, SampleConfig, SampleMode, Scenario, ScenarioSpec
 
 if TYPE_CHECKING:
+    from .pointprocess import Topology
     from .sweeps import SweepTable
 
 _ANTENNA_KEYS = ("carrier_frequency_hz", "illumination_coefficient",
@@ -262,7 +262,7 @@ def sweep_csv_chunks(sweep: "SweepTable") -> Iterator[str]:
                        len(sweep.parameter_value), flatten)
 
 
-def points_csv_chunks(topology: Topology) -> Iterator[str]:
+def points_csv_chunks(topology: "Topology") -> Iterator[str]:
     """Topology points as CSV text in chunks, one x,y,z row per point."""
     return _csv_chunks(POINTS_CSV_HEADER, "%.17g,%.17g,%.17g\n", len(topology.points),
                        lambda block: topology.points[block].ravel().tolist())

@@ -11,12 +11,12 @@ order: count, then all azimuths, then all polar angles.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .geometry import DomeGeometry, _require_finite_nonnegative, _require_vertex_angle
+from .scenarios import SampleConfig, SampleMode, _check_seed, _sample_mode
 
 # The bit generator ``make_rng`` builds, by numpy's name for it.
 DEFAULT_RNG_ALGORITHM = "pcg64"
@@ -31,38 +31,6 @@ _POISSON_REJECTION_THRESHOLD = 30
 MAX_SAMPLE_POINTS = 10_000_000
 
 
-class SampleMode(Enum):
-    """How polar angles are drawn inside the cap.
-
-    AREA_UNIFORM places points with uniform surface density (a homogeneous
-    point process on the cap).  PAPER_FAITHFUL draws the signed polar angle
-    uniformly on [-phi, phi], which over-weights the cap centre by a factor
-    1/sin(polar) but reproduces the classic generation recipe verbatim.
-    """
-
-    AREA_UNIFORM = "area_uniform"
-    PAPER_FAITHFUL = "paper_faithful"
-
-
-@dataclass(frozen=True)
-class SampleConfig:
-    """Density, receiver orientation, sampling mode, and seed."""
-
-    density_per_km2: float
-    rx_azimuth_rad: float = 0.0
-    rx_polar_rad: float = 0.0
-    mode: SampleMode = SampleMode.AREA_UNIFORM
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        _require_finite_nonnegative("density_per_km2", self.density_per_km2)
-        for name in ("rx_azimuth_rad", "rx_polar_rad"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
-        object.__setattr__(self, "mode", _sample_mode(self.mode))
-        _check_seed(self.seed)
-
-
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Generated transmitter positions: an (n, 3) array of x, y, z in km."""
@@ -71,21 +39,6 @@ class Topology:
     count: int
     dome: DomeGeometry
     config: SampleConfig
-
-
-def _sample_mode(mode: SampleMode | str) -> SampleMode:
-    try:
-        return SampleMode(mode)
-    except ValueError:
-        raise InvalidParameterError(
-            f"mode must be one of {[m.value for m in SampleMode]}, got {mode!r}") from None
-
-
-def _check_seed(seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2 ** 64:
-        raise InvalidParameterError(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
 def make_rng(seed: int) -> np.random.Generator:

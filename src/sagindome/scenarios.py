@@ -3,9 +3,11 @@
 Three uplinks (G2A, A2S, G2S) where an elevated receiver points a beam at
 the transmitter sphere below, and three downlinks (A2G, S2A, S2G) where a
 lower receiver observes the transmitter sphere above a minimum elevation.
-The transmitter radius is always the transmitting layer's radius.
+The transmitter radius is always the transmitting layer's radius.  A sweep
+(``SweepSpec``) and a sample (``SampleConfig``) are requests on a scenario.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -15,6 +17,7 @@ from .geometry import (
     DEFAULT_EARTH_RADIUS_KM,
     AntennaConfig,
     DomeGeometry,
+    _require_finite_nonnegative,
     _require_positive,
     cap_area,
     half_power_beamwidth,
@@ -209,3 +212,140 @@ def coverage(spec: ScenarioSpec) -> DomeGeometry:
         area_km2=cap_area(r_t, phi),
         tangent_limited=tangent_limited,
     )
+
+
+# Largest grid a sweep may ask for.  Each step costs about 70 bytes at peak
+# (the float temporaries of the array pass and the result columns), so a CLI
+# sweep at the cap peaks near 100 MB.
+MAX_SWEEP_STEPS = 1_000_000
+
+
+class SweepParameter(Enum):
+    CARRIER_FREQUENCY = "carrier_frequency"
+    MIN_ELEVATION = "min_elevation"
+    AIR_ALTITUDE = "air_altitude"
+    SPACE_ALTITUDE = "space_altitude"
+
+
+class SweepScale(Enum):
+    LINEAR = "linear"
+    LOGARITHMIC = "log"
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One swept parameter over a fixed base scenario.
+
+    ``low`` and ``high`` are in the parameter's library unit: Hz for the
+    carrier frequency, radians for the elevation angle, km for altitudes.
+    """
+
+    base: ScenarioSpec
+    parameter: SweepParameter
+    low: float
+    high: float
+    steps: int
+    scale: SweepScale = SweepScale.LINEAR
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.parameter, SweepParameter):
+            raise InvalidParameterError(
+                f"parameter must be a SweepParameter, got {self.parameter!r}")
+        check_grid(self.low, self.high, self.steps, self.scale)
+        if not parameter_applicable(self.parameter, self.base.scenario):
+            raise InvalidParameterError(
+                f"parameter {self.parameter.value} is inapplicable to "
+                f"scenario {self.base.scenario.value}")
+
+
+def check_grid(low: float, high: float, steps: int, scale: SweepScale) -> None:
+    """Reject a grid before any of it is allocated.
+
+    The checks hold in any unit that preserves order and sign, so the CLI
+    runs them on its own degrees as well.
+    """
+    if not isinstance(scale, SweepScale):
+        raise InvalidParameterError(f"scale must be a SweepScale, got {scale!r}")
+    if not (low < high and math.isfinite(high - low)):
+        raise InvalidParameterError(
+            f"sweep range requires low < high and a finite high - low, "
+            f"got low={low!r} high={high!r}")
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise InvalidParameterError(f"steps must be an integer, got {steps!r}")
+    if steps < 2:
+        raise InvalidParameterError(f"steps must be >= 2, got {steps!r}")
+    if steps > MAX_SWEEP_STEPS:
+        raise InvalidParameterError(
+            f"steps must be <= {MAX_SWEEP_STEPS}, got {steps!r}")
+    if scale is SweepScale.LOGARITHMIC and low <= 0.0:
+        raise InvalidParameterError("logarithmic sweeps require low > 0")
+
+
+def parameter_applicable(parameter: SweepParameter, scenario: Scenario) -> bool:
+    """Whether a sweep parameter exists at all for the given scenario."""
+    if parameter is SweepParameter.CARRIER_FREQUENCY:
+        return scenario.direction is Direction.UPLINK
+    if parameter is SweepParameter.MIN_ELEVATION:
+        return scenario.direction is Direction.DOWNLINK
+    if parameter is SweepParameter.AIR_ALTITUDE:
+        return Layer.AIR in scenario.layers
+    return Layer.SPACE in scenario.layers
+
+
+def _with_parameter(base: ScenarioSpec, parameter: SweepParameter,
+                    value: float) -> ScenarioSpec:
+    if parameter is SweepParameter.CARRIER_FREQUENCY:
+        antenna = dataclasses.replace(base.antenna, carrier_frequency_hz=value)
+        return dataclasses.replace(base, antenna=antenna)
+    if parameter is SweepParameter.MIN_ELEVATION:
+        return dataclasses.replace(base, min_elevation_rad=value)
+    if parameter is SweepParameter.AIR_ALTITUDE:
+        return dataclasses.replace(base, air_altitude_km=value)
+    return dataclasses.replace(base, space_altitude_km=value)
+
+
+class SampleMode(Enum):
+    """How polar angles are drawn inside the cap.
+
+    AREA_UNIFORM places points with uniform surface density (a homogeneous
+    point process on the cap).  PAPER_FAITHFUL draws the signed polar angle
+    uniformly on [-phi, phi], which over-weights the cap centre by a factor
+    1/sin(polar) but reproduces the classic generation recipe verbatim.
+    """
+
+    AREA_UNIFORM = "area_uniform"
+    PAPER_FAITHFUL = "paper_faithful"
+
+
+@dataclass(frozen=True)
+class SampleConfig:
+    """Density, receiver orientation, sampling mode, and seed."""
+
+    density_per_km2: float
+    rx_azimuth_rad: float = 0.0
+    rx_polar_rad: float = 0.0
+    mode: SampleMode = SampleMode.AREA_UNIFORM
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        _require_finite_nonnegative("density_per_km2", self.density_per_km2)
+        for name in ("rx_azimuth_rad", "rx_polar_rad"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite")
+        object.__setattr__(self, "mode", _sample_mode(self.mode))
+        _check_seed(self.seed)
+
+
+def _sample_mode(mode: SampleMode | str) -> SampleMode:
+    try:
+        return SampleMode(mode)
+    except ValueError:
+        raise InvalidParameterError(
+            f"mode must be one of {[m.value for m in SampleMode]}, got {mode!r}") from None
+
+
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2 ** 64:
+        raise InvalidParameterError(f"seed must lie in [0, 2**64), got {seed!r}")

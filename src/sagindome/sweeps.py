@@ -1,98 +1,21 @@
-"""Parameter sweeps over scenario geometry and expected-count arithmetic."""
+"""Parameter sweeps over scenario geometry, evaluated as one array pass."""
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, SaginDomeError
-from .geometry import (
-    CLAMP_TOLERANCE,
-    LIGHT_SPEED_M_PER_S,
-    DomeGeometry,
-    _require_finite_nonnegative,
-    _require_positive,
+from .errors import SaginDomeError
+from .geometry import CLAMP_TOLERANCE, LIGHT_SPEED_M_PER_S
+from .scenarios import (
+    Direction,
+    Layer,
+    SweepParameter,
+    SweepScale,
+    SweepSpec,
+    _with_parameter,
+    coverage,
 )
-from .scenarios import Direction, Layer, ScenarioSpec, coverage
-
-# Largest grid a sweep may ask for.  Each step costs about 70 bytes at peak
-# (the float temporaries of the array pass and the result columns), so a CLI
-# sweep at the cap peaks near 110 MB.
-MAX_SWEEP_STEPS = 1_000_000
-
-
-class SweepParameter(Enum):
-    CARRIER_FREQUENCY = "carrier_frequency"
-    MIN_ELEVATION = "min_elevation"
-    AIR_ALTITUDE = "air_altitude"
-    SPACE_ALTITUDE = "space_altitude"
-
-
-class SweepScale(Enum):
-    LINEAR = "linear"
-    LOGARITHMIC = "log"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter over a fixed base scenario.
-
-    ``low`` and ``high`` are in the parameter's library unit: Hz for the
-    carrier frequency, radians for the elevation angle, km for altitudes.
-    """
-
-    base: ScenarioSpec
-    parameter: SweepParameter
-    low: float
-    high: float
-    steps: int
-    scale: SweepScale = SweepScale.LINEAR
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.parameter, SweepParameter):
-            raise InvalidParameterError(
-                f"parameter must be a SweepParameter, got {self.parameter!r}")
-        check_grid(self.low, self.high, self.steps, self.scale)
-        if not parameter_applicable(self.parameter, self.base.scenario):
-            raise InvalidParameterError(
-                f"parameter {self.parameter.value} is inapplicable to "
-                f"scenario {self.base.scenario.value}")
-
-
-def check_grid(low: float, high: float, steps: int, scale: SweepScale) -> None:
-    """Reject a grid before any of it is allocated.
-
-    The checks hold in any unit that preserves order and sign, so the CLI
-    runs them on its own degrees as well.
-    """
-    if not isinstance(scale, SweepScale):
-        raise InvalidParameterError(f"scale must be a SweepScale, got {scale!r}")
-    if not (low < high and math.isfinite(high - low)):
-        raise InvalidParameterError(
-            f"sweep range requires low < high and a finite high - low, "
-            f"got low={low!r} high={high!r}")
-    if isinstance(steps, bool) or not isinstance(steps, int):
-        raise InvalidParameterError(f"steps must be an integer, got {steps!r}")
-    if steps < 2:
-        raise InvalidParameterError(f"steps must be >= 2, got {steps!r}")
-    if steps > MAX_SWEEP_STEPS:
-        raise InvalidParameterError(
-            f"steps must be <= {MAX_SWEEP_STEPS}, got {steps!r}")
-    if scale is SweepScale.LOGARITHMIC and low <= 0.0:
-        raise InvalidParameterError("logarithmic sweeps require low > 0")
-
-
-def parameter_applicable(parameter: SweepParameter, scenario) -> bool:
-    """Whether a sweep parameter exists at all for the given scenario."""
-    if parameter is SweepParameter.CARRIER_FREQUENCY:
-        return scenario.direction is Direction.UPLINK
-    if parameter is SweepParameter.MIN_ELEVATION:
-        return scenario.direction is Direction.DOWNLINK
-    if parameter is SweepParameter.AIR_ALTITUDE:
-        return Layer.AIR in scenario.layers
-    return Layer.SPACE in scenario.layers
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,18 +35,6 @@ def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> np.nd
     if scale is SweepScale.LOGARITHMIC:
         return np.geomspace(low, high, steps)
     return np.linspace(low, high, steps)
-
-
-def _with_parameter(base: ScenarioSpec, parameter: SweepParameter,
-                    value: float) -> ScenarioSpec:
-    if parameter is SweepParameter.CARRIER_FREQUENCY:
-        antenna = dataclasses.replace(base.antenna, carrier_frequency_hz=value)
-        return dataclasses.replace(base, antenna=antenna)
-    if parameter is SweepParameter.MIN_ELEVATION:
-        return dataclasses.replace(base, min_elevation_rad=value)
-    if parameter is SweepParameter.AIR_ALTITUDE:
-        return dataclasses.replace(base, air_altitude_km=value)
-    return dataclasses.replace(base, space_altitude_km=value)
 
 
 def invalid_values(parameter: SweepParameter, values: np.ndarray,
@@ -240,26 +151,3 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         phi[index], area[index], tangent[index] = row
     return SweepTable(values, phi, area, tangent, errors)
 
-
-def expected_count(dome: DomeGeometry, density_per_km2: float) -> tuple[float, int]:
-    """(density * area, floor(density * area)): the exact product and the
-    integer mean actually fed to the Poisson draw."""
-    _require_finite_nonnegative("density_per_km2", density_per_km2)
-    product = density_per_km2 * dome.area_km2
-    if not math.isfinite(product):
-        raise InvalidParameterError(
-            f"expected count density * area overflows: {density_per_km2!r} * "
-            f"{dome.area_km2!r}")
-    return product, int(math.floor(product))
-
-
-def full_sphere_count(radius_km: float, density_per_km2: float) -> float:
-    """Expected node count of a whole sphere, 4*pi*r^2 * density."""
-    _require_positive("radius_km", radius_km)
-    _require_finite_nonnegative("density_per_km2", density_per_km2)
-    count = 4.0 * math.pi * radius_km * radius_km * density_per_km2
-    if not math.isfinite(count):
-        raise InvalidParameterError(
-            f"full-sphere count 4*pi*r^2 * density overflows: radius_km={radius_km!r}, "
-            f"density_per_km2={density_per_km2!r}")
-    return count

@@ -25,7 +25,7 @@ from sagindome import pointprocess
 from sagindome.cli import main
 from sagindome.io import sweep_csv_chunks
 from sagindome.pointprocess import MAX_SAMPLE_POINTS
-from sagindome.sweeps import MAX_SWEEP_STEPS
+from sagindome.scenarios import MAX_SWEEP_STEPS
 
 S2G_DESCRIPTOR = """{
   "scenario": "s2g",
@@ -50,6 +50,14 @@ G2S_MEO_FLAGS = [
     "--carrier-frequency-hz", "40e9", "--illumination-coefficient", "70",
     "--reflector-diameter-m", "4",
 ]
+
+# f * D = 1e-300 * 1e-300 underflows to 0 in the beamwidth's denominator.
+UNDERFLOW_FLAGS = [
+    "--scenario", "g2a", "--air-altitude-km", "10",
+    "--illumination-coefficient", "1e300", "--reflector-diameter-m", "1e-300",
+]
+UNDERFLOW_REASON = ("carrier_frequency_hz * reflector_diameter_m underflows to 0: "
+                    "1e-300 * 1e-300")
 
 
 def run_cli(argv, capsys):
@@ -158,6 +166,12 @@ class TestCoverageCommand:
         assert code == 2 and out == ""
         assert err == ("error: space_altitude_km must be finite, got an integer "
                        "beyond the float range\n")
+
+    def test_underflowing_beamwidth_denominator_exit_2(self, capsys):
+        code, out, err = run_cli(["coverage", *UNDERFLOW_FLAGS,
+                                  "--carrier-frequency-hz", "1e-300"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {UNDERFLOW_REASON}\n"
 
     def test_descriptor_and_flags_conflict(self, s2g_descriptor, capsys):
         code, _, err = run_cli(["coverage", "--descriptor", s2g_descriptor,
@@ -295,6 +309,16 @@ class TestSweepCommand:
                        f"param_value=300000000: {failed[0]}\n")
         assert failed[0].startswith("beamwidth_rad must lie in (0, pi)")
 
+    def test_underflowing_beamwidth_denominator_is_a_nan_row(self, capsys):
+        code, out, err = run_cli([
+            "sweep", *UNDERFLOW_FLAGS, "--param", "carrier_frequency",
+            "--from", "1e-300", "--to", "1e-299", "--steps", "3"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[1:] for row in rows] == [["nan", "nan", "false"]] * 3
+        assert err == (f"warning: 3 of 3 sweep rows failed; first at "
+                       f"param_value=1e-300: {UNDERFLOW_REASON}\n")
+
     def test_no_report_without_failed_rows(self, capsys):
         code, _, err = run_cli([
             "sweep", *G2S_MEO_FLAGS, "--param", "carrier_frequency",
@@ -411,6 +435,16 @@ class TestCountCommand:
         code, out, err = run_cli(["count", "--descriptor", str(descriptor)], capsys)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {what}") and err.count("\n") == 1
+
+    def test_underflowing_beamwidth_denominator_exit_2(self, tmp_path, capsys):
+        descriptor = tmp_path / "underflow.json"
+        descriptor.write_text(
+            '{"scenario": "g2a", "air_altitude_km": 10, "carrier_frequency_hz": 1e-300, '
+            '"illumination_coefficient": 1e300, "reflector_diameter_m": 1e-300, '
+            '"density_per_km2": 1}')
+        code, out, err = run_cli(["count", "--descriptor", str(descriptor)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {UNDERFLOW_REASON}\n"
 
     def test_missing_density_exits_2(self, tmp_path, capsys):
         descriptor = tmp_path / "nodensity.json"

@@ -1,0 +1,144 @@
+"""The package surface and its start-up contract.
+
+Only ``sweeps`` and ``pointprocess`` import numpy, and only ``pointprocess``
+touches ``numpy.random``.  ``import sagindome``, the ``coverage`` and ``count``
+commands, ``--help`` and every descriptor error run without numpy; ``sweep``
+loads no ``pointprocess`` and ``sample`` no ``sweeps``.  The package resolves
+its numpy names on first access.  Each check runs in a fresh interpreter,
+since this one has imported everything already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sagindome
+
+S2G_DESCRIPTOR = {"scenario": "s2g", "space_altitude_km": 600, "min_elevation_deg": 10,
+                  "density_per_km2": 5e-6, "seed": 7}
+
+# Runs each argv (JSON list in argv[1]) through cli.main and prints, after
+# importing the package, after importing the cli and after each call, the
+# exit code and which of the watched modules (JSON list in argv[2]) are loaded.
+_CLI_PROBE = """
+import contextlib, io, json, sys
+watched = json.loads(sys.argv[2])
+def loaded():
+    return [name for name in watched if name in sys.modules]
+import sagindome
+results = [["import sagindome", 0, loaded()]]
+from sagindome.cli import main
+results.append(["import sagindome.cli", 0, loaded()])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([" ".join(argv), code, loaded()])
+print(json.dumps(results))
+"""
+
+
+def run_fresh(code: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(sagindome.__file__).resolve().parents[1])
+    completed = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                               capture_output=True, text=True, timeout=120, check=False)
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
+def run_cli_probe(calls: list[list[str]], watched: list[str]) -> list[list]:
+    return json.loads(run_fresh(_CLI_PROBE, json.dumps(calls), json.dumps(watched)))
+
+
+@pytest.fixture
+def s2g_descriptor(tmp_path):
+    path = tmp_path / "s2g.json"
+    path.write_text(json.dumps(S2G_DESCRIPTOR))
+    return str(path)
+
+
+class TestStartup:
+    def test_core_commands_load_no_numpy(self, s2g_descriptor, tmp_path):
+        undecodable = tmp_path / "undecodable.json"
+        undecodable.write_text('{"scenario": "s2g", ')
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text(json.dumps(dict(S2G_DESCRIPTOR, space_altitude_km=-1)))
+        results = run_cli_probe([
+            ["coverage", "--descriptor", s2g_descriptor],
+            ["coverage", "--scenario", "s2g", "--space-altitude-km", "600",
+             "--min-elevation-deg", "10"],
+            ["count", "--descriptor", s2g_descriptor],
+            ["coverage", "--descriptor", str(undecodable)],
+            ["count", "--descriptor", str(invalid)],
+            ["--help"],
+        ], ["numpy"])
+        assert [code for _, code, _ in results] == [0, 0, 0, 0, 0, 2, 2, 0]
+        assert [call for call, _, loaded in results if loaded] == []
+
+    def test_sweep_loads_no_sampler(self, tmp_path):
+        grid = tmp_path / "sweep.csv"
+        results = run_cli_probe([
+            ["sweep", "--scenario", "s2g", "--space-altitude-km", "600",
+             "--param", "min_elevation", "--from", "5", "--to", "30", "--steps", "6",
+             "--output", str(grid)],
+        ], ["numpy", "numpy.random", "sagindome.pointprocess"])
+        assert results[-1][1:] == [0, ["numpy"]]
+        assert len(grid.read_text().splitlines()) == 7
+
+    def test_sample_loads_no_sweeps(self, s2g_descriptor, tmp_path):
+        points = tmp_path / "points.csv"
+        results = run_cli_probe([
+            ["sample", "--descriptor", s2g_descriptor, "--output", str(points)],
+        ], ["numpy", "sagindome.sweeps"])
+        assert results[-1][1:] == [0, ["numpy"]]
+        assert points.read_text().startswith("x_km,y_km,z_km\n")
+
+
+class TestPackageSurface:
+    def test_every_public_name_resolves(self):
+        resolved = run_fresh(
+            "import json, sagindome\n"
+            "print(json.dumps([n for n in sagindome.__all__ "
+            "if getattr(sagindome, n) is not None]))")
+        assert json.loads(resolved) == sagindome.__all__
+
+    def test_star_import_binds_every_public_name(self):
+        bound = run_fresh(
+            "import json\n"
+            "from sagindome import *\n"
+            "import sagindome\n"
+            "print(json.dumps([n for n in sagindome.__all__ if n in globals()]))")
+        assert json.loads(bound) == sagindome.__all__
+
+    def test_dir_lists_every_public_name(self):
+        listed = run_fresh("import json, sagindome\nprint(json.dumps(dir(sagindome)))")
+        assert set(sagindome.__all__) <= set(json.loads(listed))
+        assert len(sagindome.__all__) == 46
+
+    def test_unknown_name_raises_attribute_error(self):
+        message = run_fresh(
+            "import sagindome\n"
+            "try:\n"
+            "    sagindome.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)")
+        assert message == "module 'sagindome' has no attribute 'no_such_name'\n"
+
+    def test_lazy_name_is_the_defining_modules_object(self):
+        # The benchmark's tracer rebinds a function under every name that
+        # holds it, and its topology loop calls sagindome.generate, so the
+        # package must cache the defining module's own object.
+        same = run_fresh(
+            "import sagindome\n"
+            "generate = sagindome.generate\n"
+            "import sagindome.pointprocess\n"
+            "print(generate is sagindome.pointprocess.generate"
+            " and vars(sagindome)['generate'] is generate)")
+        assert same == "True\n"

@@ -30,7 +30,8 @@ from sagindome import (
     vertex_angle_downlink_oracle,
     vertex_angle_uplink_oracle,
 )
-from sagindome.sweeps import _with_parameter, grid_values, parameter_applicable
+from sagindome.scenarios import _with_parameter, parameter_applicable
+from sagindome.sweeps import grid_values
 
 SCALAR_RAD = 1e-12      # vertex angle against the scalar path
 ORACLE_RAD = 1e-9       # vertex angle against the difference-form oracles

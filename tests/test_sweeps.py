@@ -20,7 +20,7 @@ from sagindome import (
     run_sweep,
 )
 from sagindome import sweeps
-from sagindome.sweeps import MAX_SWEEP_STEPS
+from sagindome.scenarios import MAX_SWEEP_STEPS
 from conftest import reference_spec
 
 
