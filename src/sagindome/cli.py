@@ -174,6 +174,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     to_flag = float
     if parameter is SweepParameter.MIN_ELEVATION:
         low, high, to_flag = math.radians(low), math.radians(high), math.degrees
+        # Degrees that underflow to 0 rad can lose the order or sign checked above.
+        check_grid(low, high, args.steps, scale)
     flags = _flags_to_data(args)
     # The swept parameter's flag, given or not, is set to the first grid
     # value at which the scenario is valid (argmin of the invalid mask), so

@@ -30,9 +30,19 @@ LIGHT_SPEED_M_PER_S = 2.998e8
 CLAMP_TOLERANCE = 1e-12
 
 
+# Texts of checks that ``sweeps.run_sweep`` also applies as a mask, quoting
+# them for the rows it rejects without raising.
+def _positive_text(name: str, value: float) -> str:
+    return f"{name} must be > 0, got {value!r}"
+
+
+def _elevation_text(name: str, value: float) -> str:
+    return f"{name} must lie in [0, pi/2], got {value!r}"
+
+
 def _require_positive(name: str, value: float) -> None:
     if not value > 0.0:
-        raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+        raise InvalidParameterError(_positive_text(name, value))
     if value == math.inf:
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
@@ -66,8 +76,7 @@ def _check_downlink_domain(elevation_rad: float, r_t_km: float, r_r_km: float) -
         raise InvalidGeometryError(
             f"downlink requires r_r_km < r_t_km, got r_t_km={r_t_km!r}, r_r_km={r_r_km!r}")
     if not 0.0 <= elevation_rad <= 0.5 * math.pi:
-        raise InvalidParameterError(
-            f"elevation_rad must lie in [0, pi/2], got {elevation_rad!r}")
+        raise InvalidParameterError(_elevation_text("elevation_rad", elevation_rad))
 
 
 def _clamp_cosine(value: float, what: str) -> float:

@@ -17,6 +17,7 @@ from .geometry import (
     DEFAULT_EARTH_RADIUS_KM,
     AntennaConfig,
     DomeGeometry,
+    _elevation_text,
     _require_finite_nonnegative,
     _require_positive,
     cap_area,
@@ -90,6 +91,12 @@ SPACE_ALTITUDE_RANGE_KM = (500.0, 35786.0)
 ELEVATION_RANGE_RAD = (math.radians(5.0), math.radians(30.0))
 
 
+def _altitude_order_text(air: str, space: str) -> str:
+    """The text of ScenarioSpec's altitude-order check, from the two altitudes'
+    reprs, so that a sweep formats its fixed altitude once."""
+    return f"air_altitude_km={air} must be below space_altitude_km={space}"
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A fully parameterized scenario.
@@ -127,14 +134,13 @@ class ScenarioSpec:
                     f"{sc.value}: antenna is not applicable to a downlink spec")
             if not 0.0 <= self.min_elevation_rad <= 0.5 * math.pi:
                 raise InvalidParameterError(
-                    f"min_elevation_rad must lie in [0, pi/2], got {self.min_elevation_rad!r}")
+                    _elevation_text("min_elevation_rad", self.min_elevation_rad))
         self._check_altitude(Layer.AIR, "air_altitude_km", self.air_altitude_km)
         self._check_altitude(Layer.SPACE, "space_altitude_km", self.space_altitude_km)
         if (self.air_altitude_km is not None and self.space_altitude_km is not None
                 and self.air_altitude_km >= self.space_altitude_km):
             raise InvalidGeometryError(
-                f"air_altitude_km={self.air_altitude_km!r} must be below "
-                f"space_altitude_km={self.space_altitude_km!r}")
+                _altitude_order_text(repr(self.air_altitude_km), repr(self.space_altitude_km)))
 
     def _check_altitude(self, layer: Layer, name: str, value: float | None) -> None:
         if layer in self.scenario.layers:

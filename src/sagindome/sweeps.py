@@ -1,18 +1,21 @@
 """Parameter sweeps over scenario geometry, evaluated as one array pass."""
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import SaginDomeError
-from .geometry import CLAMP_TOLERANCE, LIGHT_SPEED_M_PER_S
+from .geometry import CLAMP_TOLERANCE, LIGHT_SPEED_M_PER_S, _elevation_text, _positive_text
 from .scenarios import (
     Direction,
     Layer,
     SweepParameter,
     SweepScale,
     SweepSpec,
+    _altitude_order_text,
     _with_parameter,
     coverage,
 )
@@ -55,6 +58,27 @@ def invalid_values(parameter: SweepParameter, values: np.ndarray,
     return invalid
 
 
+def _rejection_reason(spec: SweepSpec) -> Callable[[float], str]:
+    """The error ScenarioSpec raises at a finite grid value that
+    ``invalid_values`` marks, in its order: positivity, then altitude order."""
+    base, parameter = spec.base, spec.parameter
+    if parameter is SweepParameter.MIN_ELEVATION:
+        return partial(_elevation_text, "min_elevation_rad")
+    if parameter is SweepParameter.CARRIER_FREQUENCY:
+        return partial(_positive_text, "carrier_frequency_hz")
+    air = parameter is SweepParameter.AIR_ALTITUDE
+    name = "air_altitude_km" if air else "space_altitude_km"
+    fixed = repr(base.space_altitude_km if air else base.air_altitude_km)
+
+    def reason(value: float) -> str:
+        if not value > 0.0:
+            return _positive_text(name, value)
+        if air:
+            return _altitude_order_text(repr(value), fixed)
+        return _altitude_order_text(fixed, repr(value))
+    return reason
+
+
 def _acos_clamped(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """arccos of ``delta`` clamped to [-1, 1] as ``geometry._clamp_cosine``
     does, plus the mask of arguments outside it beyond CLAMP_TOLERANCE."""
@@ -63,10 +87,11 @@ def _acos_clamped(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(spec: SweepSpec, values: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``coverage`` at every grid value in one array pass.
 
-    Returns new arrays (vertex angle, area, tangent_limited, irregular).
+    Returns new arrays (vertex angle, area, tangent_limited, irregular,
+    rejected), where ``rejected`` is the ``invalid_values`` mask.
     The closed forms and their operation order are those of ``coverage``;
     only the transcendental functions come from numpy instead of ``math``.
     Squares go through ``np.float_power``, the C library's ``pow`` that
@@ -79,21 +104,22 @@ def _evaluate(spec: SweepSpec, values: np.ndarray
     """
     base, parameter = spec.base, spec.parameter
 
-    def field(swept: SweepParameter, fixed):
-        return values if parameter is swept else fixed
+    def field(swept: SweepParameter, fixed: float) -> np.ndarray | np.float64:
+        # Fixed values enter as np.float64, so that every operation below
+        # obeys np.errstate (a Python float division by 0 raises) and ``~``
+        # negates a numpy bool, never a Python one (~True is -2).
+        return values if parameter is swept else np.float64(fixed)
 
-    def radius(layer: Layer) -> np.ndarray:
-        # An array even when fixed, so that ``~`` below negates a numpy
-        # bool and never a Python one (~True is -2).
-        earth = base.earth_radius_km
+    def radius(layer: Layer) -> np.ndarray | np.float64:
+        earth = np.float64(base.earth_radius_km)
         if layer is Layer.GROUND:
-            return np.asarray(earth)
+            return earth
         if layer is Layer.AIR:
-            return np.asarray(earth + field(SweepParameter.AIR_ALTITUDE, base.air_altitude_km))
-        return np.asarray(earth + field(SweepParameter.SPACE_ALTITUDE, base.space_altitude_km))
+            return earth + field(SweepParameter.AIR_ALTITUDE, base.air_altitude_km)
+        return earth + field(SweepParameter.SPACE_ALTITUDE, base.space_altitude_km)
 
-    irregular = invalid_values(parameter, values, base.air_altitude_km,
-                               base.space_altitude_km)
+    rejected = invalid_values(parameter, values, base.air_altitude_km,
+                              base.space_altitude_km)
     r_t = radius(base.scenario.transmitter_layer)
     r_r = radius(base.scenario.receiver_layer)
     with np.errstate(all="ignore"):
@@ -112,7 +138,7 @@ def _evaluate(spec: SweepSpec, values: np.ndarray
             delta = k * s * s + np.cos(half) * np.sqrt(np.maximum(radicand, 0.0))
             phi, beyond = _acos_clamped(delta)
             phi = np.where(tangent, np.arccos(ratio), phi)
-            irregular = (irregular | ~(r_t > 0.0) | (r_t >= r_r)
+            irregular = (rejected | ~(r_t > 0.0) | (r_t >= r_r)
                          | ~((beamwidth > 0.0) & (beamwidth < math.pi))
                          | (~tangent & ((-radicand > CLAMP_TOLERANCE) | beyond)))
         else:
@@ -123,31 +149,43 @@ def _evaluate(spec: SweepSpec, values: np.ndarray
             delta = k * c * c + np.sin(elevation) * np.sqrt(np.maximum(radicand, 0.0))
             phi, beyond = _acos_clamped(delta)
             tangent = np.zeros(values.shape, dtype=bool)
-            irregular = (irregular | ~(r_r > 0.0) | (r_r >= r_t)
+            irregular = (rejected | ~(r_r > 0.0) | (r_r >= r_t)
                          | (-radicand > CLAMP_TOLERANCE) | beyond)
         half_sin = np.sin(0.5 * phi)
         area = 4.0 * math.pi * r_t * r_t * half_sin * half_sin
-    return phi, area, tangent, irregular | ~np.isfinite(phi) | ~np.isfinite(area)
+    return phi, area, tangent, irregular | ~np.isfinite(phi) | ~np.isfinite(area), rejected
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate coverage at each grid point, in grid order.
 
-    The grid is evaluated in one array pass.  Rows the pass marks irregular
-    are evaluated again by the scalar ``coverage`` path, whose result is
-    written in place and which supplies the error text of every failed row.
+    The grid is evaluated in one array pass.  A row whose value makes the
+    scenario itself invalid (``invalid_values``) takes its reason from that
+    mask, in the text ScenarioSpec would raise.  Other rows the pass marks
+    irregular are evaluated again by the scalar ``coverage`` path, whose
+    result is written in place and which supplies their error text.
     """
     values = grid_values(spec.low, spec.high, spec.steps, spec.scale)
-    phi, area, tangent, irregular = _evaluate(spec, values)
+    phi, area, tangent, irregular, rejected = _evaluate(spec, values)
+    # ScenarioSpec refuses an infinite value (geomspace can round one up next
+    # to the largest float) as not finite before it compares the altitudes,
+    # so such a row takes the scalar path.
+    rejected &= np.isfinite(values)
+    phi[rejected] = area[rejected] = math.nan
+    tangent[rejected] = False
+    reason = _rejection_reason(spec)
     errors = {}
     for index in np.flatnonzero(irregular).tolist():
         # A float, not np.float64, so error texts quote it as the scalar path does.
+        value = float(values[index])
+        if rejected[index]:
+            errors[index] = reason(value)
+            continue
         try:
-            dome = coverage(_with_parameter(spec.base, spec.parameter, float(values[index])))
+            dome = coverage(_with_parameter(spec.base, spec.parameter, value))
             row = dome.vertex_angle_rad, dome.area_km2, dome.tangent_limited
         except SaginDomeError as exc:
             errors[index] = str(exc)
             row = math.nan, math.nan, False
         phi[index], area[index], tangent[index] = row
     return SweepTable(values, phi, area, tangent, errors)
-

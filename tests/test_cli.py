@@ -319,6 +319,28 @@ class TestSweepCommand:
         assert err == (f"warning: 3 of 3 sweep rows failed; first at "
                        f"param_value=1e-300: {UNDERFLOW_REASON}\n")
 
+    def test_underflowing_beamwidth_denominator_with_fixed_frequency(self, capsys):
+        # A fixed f * D that underflows gives nan rows, as a swept one does.
+        code, out, err = run_cli([
+            "sweep", "--scenario", "g2s", "--space-altitude-km", "600",
+            "--carrier-frequency-hz", "1e-320", "--illumination-coefficient", "70",
+            "--reflector-diameter-m", "1e-320", "--param", "space_altitude",
+            "--from", "500", "--to", "600", "--steps", "2"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == ["500,nan,nan,false", "600,nan,nan,false"]
+        assert err == ("warning: 2 of 2 sweep rows failed; first at param_value=500: "
+                       "carrier_frequency_hz * reflector_diameter_m underflows to 0: "
+                       "1e-320 * 1e-320\n")
+
+    def test_log_elevation_grid_underflowing_to_zero_rad_exit_2(self, capsys):
+        # 5e-324 degrees passes the check in degrees but is 0.0 in radians.
+        code, out, err = run_cli([
+            "sweep", "--scenario", "s2g", "--space-altitude-km", "600",
+            "--min-elevation-deg", "10", "--param", "min_elevation",
+            "--from", "5e-324", "--to", "90", "--steps", "3", "--scale", "log"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: logarithmic sweeps require low > 0\n"
+
     def test_no_report_without_failed_rows(self, capsys):
         code, _, err = run_cli([
             "sweep", *G2S_MEO_FLAGS, "--param", "carrier_frequency",

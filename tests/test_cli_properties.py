@@ -1,15 +1,18 @@
-"""Property test: any descriptor over the known keys ends in exit 0 with strict
-JSON, or exit 2 with one ``error:`` line, never in a traceback."""
+"""Property tests: any descriptor over the known keys ends in exit 0 with strict
+JSON, and any sweep over hostile flags and grid bounds in exit 0 with CSV; or
+else in exit 2 with one ``error:`` line, never in a traceback."""
 
 import contextlib
 import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sagindome import Scenario, SweepParameter
 from sagindome.cli import main
+from sagindome.scenarios import parameter_applicable
 
 # One valid descriptor per scenario (the reference configurations), plus
 # the sampling keys ``count`` needs.
@@ -82,3 +85,71 @@ def test_exit_code_and_output(descriptor_path, data):
             lines = err.getvalue().splitlines(keepends=True)
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert lines[0].endswith("\n")
+
+
+# Float flag values and grid bounds: argparse refuses anything else with
+# its own usage text, before the program runs.
+HOSTILE_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -600.0, 5e-324, 1e-320, 1e308,
+                     1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]),
+    st.floats(),
+)
+GRID_BOUND = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 1e308, -0.0, float("inf"), float("-inf"),
+                     0.0, 1.0, 10.0, 90.0, 600.0, 20000.0, 2e9, 40e9]),
+    st.floats(-100.0, 5e10),
+)
+
+
+def _flag(key: str, value) -> str:
+    # ``--key=value``, so that argparse never reads ``-inf`` as a flag.
+    return f"--{key.replace('_', '-')}={value!r}"
+
+
+@st.composite
+def sweep_argvs(draw) -> list[str]:
+    scenario = draw(st.sampled_from(sorted(VALID)))
+    flags = {key: float(value) for key, value in VALID[scenario].items()}
+    for key in draw(st.lists(st.sampled_from(sorted(flags)), max_size=1)):
+        flags[key] = draw(HOSTILE_FLOAT)
+    parameter = draw(st.sampled_from([p.value for p in SweepParameter
+                                      if parameter_applicable(p, Scenario(scenario))]))
+    bounds = draw(st.lists(GRID_BOUND, min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        bounds.sort()
+    return ["sweep", f"--scenario={scenario}",
+            *(_flag(key, value) for key, value in flags.items()),
+            f"--param={parameter}", _flag("from", bounds[0]), _flag("to", bounds[1]),
+            f"--steps={draw(st.sampled_from([2, 3, 17]))}",
+            f"--scale={draw(st.sampled_from(['linear', 'log']))}"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=sweep_argvs())
+# A log elevation grid whose start underflows to 0 rad.
+@example(argv=["sweep", "--scenario=s2g", "--space-altitude-km=600.0",
+               "--min-elevation-deg=10.0", "--param=min_elevation", "--from=5e-324",
+               "--to=90.0", "--steps=3", "--scale=log"])
+# A fixed f * D that underflows to 0.
+@example(argv=["sweep", "--scenario=g2s", "--space-altitude-km=600.0",
+               "--carrier-frequency-hz=1e-320", "--illumination-coefficient=70.0",
+               "--reflector-diameter-m=1e-320", "--param=space_altitude", "--from=500.0",
+               "--to=600.0", "--steps=2", "--scale=linear"])
+def test_sweep_exit_code_and_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        steps = int(argv[-2].partition("=")[2])
+        rows = out.getvalue().splitlines()
+        assert rows[0] == "param_value,vertex_angle_rad,area_km2,tangent_limited"
+        assert len(rows) == steps + 1
+        assert all(len(row.split(",")) == 4 for row in rows[1:])
+        lines = err.getvalue().splitlines()
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("warning: "))
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].endswith("\n")

@@ -20,7 +20,8 @@ from sagindome import (
     run_sweep,
 )
 from sagindome import sweeps
-from sagindome.scenarios import MAX_SWEEP_STEPS
+from sagindome.errors import SaginDomeError
+from sagindome.scenarios import MAX_SWEEP_STEPS, _with_parameter
 from conftest import reference_spec
 
 
@@ -156,6 +157,69 @@ class TestRunSweep:
         table = run_sweep(SweepSpec(reference_spec(scenario), parameter, low, high, 300))
         assert len(table.errors) == failures
         assert len(calls) <= failures
+
+    def test_rows_the_scenario_rejects_make_no_scalar_call(self, monkeypatch):
+        # Air altitudes at or above the 20000 km space layer: 100 of 300 rows.
+        # Such a row builds no ScenarioSpec, whose check would raise first.
+        def refuse(*args):
+            raise AssertionError("a row the mask explains must take no scalar path")
+
+        monkeypatch.setattr(sweeps, "coverage", refuse)
+        monkeypatch.setattr(sweeps, "_with_parameter", refuse)
+        table = run_sweep(SweepSpec(reference_spec(Scenario.A2S),
+                                    SweepParameter.AIR_ALTITUDE, 1.0, 30000.0, 300))
+        assert len(table.errors) == 100
+        assert list(table.errors) == sorted(table.errors)
+        assert set(table.errors.values()) == {
+            f"air_altitude_km={value!r} must be below space_altitude_km=20000.0"
+            for value in table.parameter_value[list(table.errors)].tolist()}
+
+    @pytest.mark.parametrize("scenario,parameter,low,high,reasons", [
+        (Scenario.G2S, SweepParameter.CARRIER_FREQUENCY, -40e9, 40e9,
+         ("carrier_frequency_hz must be > 0",)),
+        (Scenario.S2G, SweepParameter.MIN_ELEVATION, -0.5 * math.pi, math.pi,
+         ("min_elevation_rad must lie in [0, pi/2]",)),
+        (Scenario.A2S, SweepParameter.AIR_ALTITUDE, -30000.0, 30000.0,
+         ("air_altitude_km must be > 0", "must be below space_altitude_km")),
+        (Scenario.S2A, SweepParameter.SPACE_ALTITUDE, -600.0, 600.0,
+         ("space_altitude_km must be > 0", "must be below space_altitude_km")),
+    ])
+    @pytest.mark.parametrize("first", ["low", "-0.0"])
+    def test_mask_reasons_are_the_scalar_errors(self, scenario, parameter, low, high,
+                                                reasons, first):
+        # 1001 steps over a range symmetric about 0 put a row at exactly 0;
+        # a grid from -0.0 starts at -0.0.
+        if first == "-0.0":
+            low = -0.0
+        base = reference_spec(scenario)
+        table = run_sweep(SweepSpec(base, parameter, low, high, 1001))
+        expected = {}
+        for index, value in enumerate(table.parameter_value.tolist()):
+            try:
+                coverage(_with_parameter(base, parameter, value))
+            except SaginDomeError as exc:
+                expected[index] = str(exc)
+        assert table.errors == expected
+        assert list(table.errors) == sorted(table.errors)
+        for reason in reasons:
+            assert any(reason in text for text in table.errors.values()), reason
+        failed = list(table.errors)
+        assert np.isnan(table.vertex_angle_rad[failed]).all()
+        assert np.isnan(table.area_km2[failed]).all()
+        assert not table.tangent_limited[failed].any()
+
+    def test_infinite_grid_value_takes_the_scalar_path(self):
+        # geomspace rounds the middle of this grid up to inf; ScenarioSpec
+        # refuses it as not finite before it compares the altitudes.
+        base = ScenarioSpec(Scenario.A2S, air_altitude_km=5.0,
+                            space_altitude_km=1.7976931348623157e308,
+                            antenna=AntennaConfig(70.0, 4.0, 40e9))
+        with np.errstate(over="ignore"):
+            table = run_sweep(SweepSpec(base, SweepParameter.AIR_ALTITUDE,
+                                        1.7976931348623155e308, 1.7976931348623157e308,
+                                        3, SweepScale.LOGARITHMIC))
+        assert table.parameter_value[1] == math.inf
+        assert table.errors[1] == "air_altitude_km must be finite, got inf"
 
     def test_deterministic(self):
         spec = SweepSpec(reference_spec(Scenario.S2G), SweepParameter.MIN_ELEVATION,
