@@ -44,27 +44,27 @@ from .scenarios import (
     validate,
 )
 
-# The names that need numpy, by defining module.  Each is imported on first
-# access and then cached here, so ``import sagindome`` loads no numpy.
-_NUMPY_NAMES = {
-    **dict.fromkeys(("Topology", "angular_distance", "cap_center_direction", "generate",
-                     "make_rng", "poisson_count", "sample_cap_angles", "yaw_pitch_matrix"),
-                    "pointprocess"),
+# Names imported on first access, by defining module, and then cached here:
+# ``pointprocess`` needs numpy, and ``sweeps`` only the commands that sweep,
+# so ``import sagindome`` loads neither.
+_LAZY_NAMES = {
+    **dict.fromkeys(("Topology", "generate", "make_rng", "poisson_count",
+                     "sample_cap_angles", "yaw_pitch_matrix"), "pointprocess"),
     "SweepTable": "sweeps",
     "run_sweep": "sweeps",
 }
 
 
 def __getattr__(name: str):
-    if name not in _NUMPY_NAMES:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_NUMPY_NAMES[name]}", __name__), name)
+    value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_NUMPY_NAMES))
+    return sorted(set(globals()) | set(_LAZY_NAMES))
 
 
 __version__ = "0.1.0"
@@ -75,10 +75,9 @@ __all__ = [
     "InvalidParameterError", "LIGHT_SPEED_M_PER_S", "Layer", "NumericDomainError",
     "OutputError", "RangeViolation", "SaginDomeError", "SampleConfig", "SampleMode",
     "Scenario", "ScenarioSpec", "SweepParameter", "SweepScale", "SweepSpec", "SweepTable",
-    "Topology", "UnsupportedBranchError", "angular_distance", "cap_area",
-    "cap_center_direction", "coverage", "expected_count", "full_sphere_count",
-    "generate", "half_power_beamwidth", "load_descriptor", "make_rng",
-    "parse_descriptor", "poisson_count", "resolve_radii", "run_sweep",
+    "Topology", "UnsupportedBranchError", "cap_area", "coverage", "expected_count",
+    "full_sphere_count", "generate", "half_power_beamwidth", "load_descriptor",
+    "make_rng", "parse_descriptor", "poisson_count", "resolve_radii", "run_sweep",
     "sample_cap_angles", "validate", "vertex_angle_downlink",
     "vertex_angle_downlink_oracle", "vertex_angle_uplink", "vertex_angle_uplink_oracle",
     "yaw_pitch_matrix",

@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 2 for any input problem (flags, descriptor,
 geometry), 3 when an output file or standard output cannot be written.
 
-Only the ``sweep`` and ``sample`` handlers import numpy (through ``sweeps`` and
-``pointprocess``), so ``coverage``, ``count`` and ``--help`` start without it.
+Only the ``sample`` handler imports numpy (through ``pointprocess``), so every
+other command and ``--help`` start without it.
 """
 
 import argparse
@@ -164,7 +164,7 @@ def _report_failed_rows(sweep: "SweepTable") -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweeps import grid_values, invalid_values, run_sweep
+    from .sweeps import grid_values, run_sweep, value_error
 
     parameter = SweepParameter(args.param)
     scale = SweepScale(args.scale)
@@ -178,15 +178,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         check_grid(low, high, args.steps, scale)
     flags = _flags_to_data(args)
     # The swept parameter's flag, given or not, is set to the first grid
-    # value at which the scenario is valid (argmin of the invalid mask), so
-    # an invalid first grid point becomes a nan row like any other.  Without
-    # such a value the scenario is parsed at the grid start and its error
-    # ends the command.  Inapplicable parameters are left for SweepSpec.
+    # value that passes the sweep's per-row value check, so an invalid first
+    # grid point becomes a nan row like any other.  Without such a value the
+    # scenario is parsed at the grid start and its error ends the command.
+    # Inapplicable parameters are left for SweepSpec.
     if "scenario" in flags and parameter_applicable(parameter, Scenario(flags["scenario"])):
-        grid = grid_values(low, high, args.steps, scale)
-        first = invalid_values(parameter, grid, flags.get("air_altitude_km"),
-                               flags.get("space_altitude_km")).argmin()
-        flags[_SWEEP_PARAM_KEYS[parameter]] = to_flag(grid[first])
+        reject = value_error(parameter, flags.get("air_altitude_km"),
+                             flags.get("space_altitude_km"))
+        valid = (value for value in grid_values(low, high, args.steps, scale)
+                 if reject(value) is None)
+        flags[_SWEEP_PARAM_KEYS[parameter]] = to_flag(next(valid, low))
     descriptor = parse_descriptor(flags)
     sweep = SweepSpec(
         base=descriptor.spec,

@@ -9,7 +9,7 @@ the expected node counts of a cap and of a whole sphere.
 Every angle crossing these functions is in radians and every length in
 kilometres.  The single deliberate exception is the reflector-antenna
 beamwidth formula, which is defined in degrees and converted to radians at
-its one point of evaluation, ``half_power_beamwidth``.
+its one point of evaluation, ``_beamwidth`` (behind ``half_power_beamwidth``).
 """
 
 import math
@@ -30,10 +30,14 @@ LIGHT_SPEED_M_PER_S = 2.998e8
 CLAMP_TOLERANCE = 1e-12
 
 
-# Texts of checks that ``sweeps.run_sweep`` also applies as a mask, quoting
-# them for the rows it rejects without raising.
-def _positive_text(name: str, value: float) -> str:
-    return f"{name} must be > 0, got {value!r}"
+# Texts of checks that ``sweeps.run_sweep`` also applies to each swept value.
+def _positive_error(name: str, value: float) -> str | None:
+    """The text ``_require_positive`` raises for ``value``, or None."""
+    if not value > 0.0:
+        return f"{name} must be > 0, got {value!r}"
+    if value == math.inf:
+        return f"{name} must be finite, got {value!r}"
+    return None
 
 
 def _elevation_text(name: str, value: float) -> str:
@@ -41,10 +45,8 @@ def _elevation_text(name: str, value: float) -> str:
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise InvalidParameterError(_positive_text(name, value))
-    if value == math.inf:
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    if not 0.0 < value < math.inf:
+        raise InvalidParameterError(_positive_error(name, value))
 
 
 def _require_finite_nonnegative(name: str, value: float) -> None:
@@ -147,12 +149,19 @@ def half_power_beamwidth(antenna: AntennaConfig) -> float:
     to radians happens here and nowhere else.  Two positive inputs whose
     product f * D underflows to zero are refused.
     """
-    product = antenna.carrier_frequency_hz * antenna.reflector_diameter_m
+    return _beamwidth(antenna.illumination_coefficient, antenna.carrier_frequency_hz,
+                      antenna.reflector_diameter_m)
+
+
+def _beamwidth(illumination_coefficient: float, carrier_frequency_hz: float,
+               reflector_diameter_m: float) -> float:
+    """``half_power_beamwidth`` of the three floats of an antenna."""
+    product = carrier_frequency_hz * reflector_diameter_m
     if product == 0.0:
         raise InvalidParameterError(
             f"carrier_frequency_hz * reflector_diameter_m underflows to 0: "
-            f"{antenna.carrier_frequency_hz!r} * {antenna.reflector_diameter_m!r}")
-    return math.radians(antenna.illumination_coefficient * LIGHT_SPEED_M_PER_S / product)
+            f"{carrier_frequency_hz!r} * {reflector_diameter_m!r}")
+    return math.radians(illumination_coefficient * LIGHT_SPEED_M_PER_S / product)
 
 
 def vertex_angle_uplink(beamwidth_rad: float, r_t_km: float,
@@ -208,6 +217,29 @@ def cap_area(r_t_km: float, vertex_angle_rad: float) -> float:
     _require_vertex_angle(vertex_angle_rad)
     half_sin = math.sin(0.5 * vertex_angle_rad)
     return 4.0 * math.pi * r_t_km * r_t_km * half_sin * half_sin
+
+
+def _dome(uplink: bool, r_t_km: float, r_r_km: float,
+          angle_rad: float) -> tuple[float, float, bool]:
+    """(vertex angle, cap area, tangent_limited) of a dome from resolved
+    floats: the radii and the beamwidth of an uplink or the minimum elevation
+    of a downlink.
+
+    The one evaluation of the closed forms behind ``coverage`` and every
+    sweep row.  It raises what ``coverage`` raises, in the same order: the
+    domain checks, the clamps, then the checks of ``cap_area`` and of
+    ``DomeGeometry``.
+    """
+    if uplink:
+        phi, tangent_limited = vertex_angle_uplink(angle_rad, r_t_km, r_r_km)
+    else:
+        phi, tangent_limited = vertex_angle_downlink(angle_rad, r_t_km, r_r_km), False
+    area = cap_area(r_t_km, phi)
+    if not (r_r_km < math.inf and area < math.inf):
+        # Past the checks above, only an infinite receiver radius or area
+        # fails a DomeGeometry check; building one raises that check's text.
+        DomeGeometry(r_t_km, r_r_km, phi, math.cos(phi), area, tangent_limited)
+    return phi, area, tangent_limited
 
 
 def vertex_angle_uplink_oracle(beamwidth_rad: float, r_t_km: float,

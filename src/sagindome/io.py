@@ -251,11 +251,11 @@ def sweep_csv_chunks(sweep: "SweepTable") -> Iterator[str]:
     """
     def flatten(block: slice) -> list:
         values = [None] * (4 * (block.stop - block.start))
-        values[0::4] = sweep.parameter_value[block].tolist()
-        values[1::4] = sweep.vertex_angle_rad[block].tolist()
-        values[2::4] = sweep.area_km2[block].tolist()
+        values[0::4] = sweep.parameter_value[block]
+        values[1::4] = sweep.vertex_angle_rad[block]
+        values[2::4] = sweep.area_km2[block]
         values[3::4] = ["true" if flag else "false"
-                        for flag in sweep.tangent_limited[block].tolist()]
+                        for flag in sweep.tangent_limited[block]]
         return values
 
     return _csv_chunks(SWEEP_CSV_HEADER, "%.17g,%.17g,%.17g,%s\n",

@@ -7,7 +7,6 @@ The transmitter radius is always the transmitting layer's radius.  A sweep
 (``SweepSpec``) and a sample (``SampleConfig``) are requests on a scenario.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,13 +16,11 @@ from .geometry import (
     DEFAULT_EARTH_RADIUS_KM,
     AntennaConfig,
     DomeGeometry,
+    _dome,
     _elevation_text,
     _require_finite_nonnegative,
     _require_positive,
-    cap_area,
     half_power_beamwidth,
-    vertex_angle_downlink,
-    vertex_angle_uplink,
 )
 
 
@@ -204,25 +201,23 @@ def validate(spec: ScenarioSpec) -> tuple[RangeViolation, ...]:
 def coverage(spec: ScenarioSpec) -> DomeGeometry:
     """Resolve the scenario end to end into its coverage dome."""
     r_t, r_r = resolve_radii(spec)
-    if spec.scenario.direction is Direction.UPLINK:
-        beamwidth = half_power_beamwidth(spec.antenna)
-        phi, tangent_limited = vertex_angle_uplink(beamwidth, r_t, r_r)
-    else:
-        phi = vertex_angle_downlink(spec.min_elevation_rad, r_t, r_r)
-        tangent_limited = False
+    uplink = spec.scenario.direction is Direction.UPLINK
+    angle = half_power_beamwidth(spec.antenna) if uplink else spec.min_elevation_rad
+    phi, area, tangent_limited = _dome(uplink, r_t, r_r, angle)
     return DomeGeometry(
         transmitter_radius_km=r_t,
         receiver_radius_km=r_r,
         vertex_angle_rad=phi,
         delta=math.cos(phi),
-        area_km2=cap_area(r_t, phi),
+        area_km2=area,
         tangent_limited=tangent_limited,
     )
 
 
-# Largest grid a sweep may ask for.  Each step costs about 70 bytes at peak
-# (the float temporaries of the array pass and the result columns), so a CLI
-# sweep at the cap peaks near 100 MB.
+# Largest grid a sweep may ask for.  A CLI sweep at the cap peaked at 50 MB
+# with every row evaluated (about 40 bytes a step: three float columns and a
+# flag), and at 240 MB with 98% of the rows failed (about 190 bytes more for
+# each row's error text).
 MAX_SWEEP_STEPS = 1_000_000
 
 
@@ -296,18 +291,6 @@ def parameter_applicable(parameter: SweepParameter, scenario: Scenario) -> bool:
     if parameter is SweepParameter.AIR_ALTITUDE:
         return Layer.AIR in scenario.layers
     return Layer.SPACE in scenario.layers
-
-
-def _with_parameter(base: ScenarioSpec, parameter: SweepParameter,
-                    value: float) -> ScenarioSpec:
-    if parameter is SweepParameter.CARRIER_FREQUENCY:
-        antenna = dataclasses.replace(base.antenna, carrier_frequency_hz=value)
-        return dataclasses.replace(base, antenna=antenna)
-    if parameter is SweepParameter.MIN_ELEVATION:
-        return dataclasses.replace(base, min_elevation_rad=value)
-    if parameter is SweepParameter.AIR_ALTITUDE:
-        return dataclasses.replace(base, air_altitude_km=value)
-    return dataclasses.replace(base, space_altitude_km=value)
 
 
 class SampleMode(Enum):

@@ -1,23 +1,30 @@
-"""Parameter sweeps over scenario geometry, evaluated as one array pass."""
+"""Parameter sweeps over scenario geometry, one grid point at a time.
+
+Each grid value gets the checks ``ScenarioSpec`` and ``AntennaConfig`` apply
+to the swept value, then the closed-form kernel behind ``coverage``
+(``geometry._dome``), so a row is exactly ``coverage`` at its grid value, or
+the text of the error it raises.  No dataclass is built per row, and no
+numpy is needed.
+"""
 
 import math
-from collections.abc import Callable
+from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
+from itertools import islice
 
 from .errors import SaginDomeError
-from .geometry import CLAMP_TOLERANCE, LIGHT_SPEED_M_PER_S, _elevation_text, _positive_text
+from .geometry import _beamwidth, _dome, _elevation_text, _positive_error
 from .scenarios import (
     Direction,
     Layer,
+    ScenarioSpec,
     SweepParameter,
     SweepScale,
     SweepSpec,
     _altitude_order_text,
-    _with_parameter,
-    coverage,
+    resolve_radii,
 )
 
 
@@ -26,166 +33,109 @@ class SweepTable:
     """A sweep's grid points as columns, in grid order.  A point that could
     not be evaluated holds nan, nan and False; ``errors`` maps its index to why."""
 
-    parameter_value: np.ndarray
-    vertex_angle_rad: np.ndarray
-    area_km2: np.ndarray
-    tangent_limited: np.ndarray
+    parameter_value: array
+    vertex_angle_rad: array
+    area_km2: array
+    tangent_limited: list[bool]
     errors: dict[int, str]
 
 
-def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> np.ndarray:
-    """The grid of a range that passed ``check_grid``."""
-    if scale is SweepScale.LOGARITHMIC:
-        return np.geomspace(low, high, steps)
-    return np.linspace(low, high, steps)
+def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> Iterator[float]:
+    """The points of a range that passed ``check_grid``, one at a time.
 
-
-def invalid_values(parameter: SweepParameter, values: np.ndarray,
-                   air_altitude_km: float | None,
-                   space_altitude_km: float | None) -> np.ndarray:
-    """Mask of the grid values (library units) that make the scenario itself
-    invalid: the checks of ScenarioSpec and AntennaConfig that involve the
-    swept value.  The altitude of the swept layer is ignored; an altitude is
-    None for a layer the scenario lacks.
+    A linear grid follows np.linspace's formula, so it has its bytes.  A log
+    grid is 10 ** y over the linear grid of the bounds' log10, clamped to
+    [low, high] (a power that overflows gives ``high``), between the bounds.
     """
-    if parameter is SweepParameter.MIN_ELEVATION:
-        return ~((values >= 0.0) & (values <= 0.5 * math.pi))
-    invalid = ~(values > 0.0)
-    if parameter is SweepParameter.AIR_ALTITUDE and space_altitude_km is not None:
-        invalid |= values >= space_altitude_km
-    if parameter is SweepParameter.SPACE_ALTITUDE and air_altitude_km is not None:
-        invalid |= air_altitude_km >= values
-    return invalid
+    if scale is SweepScale.LINEAR:
+        div, delta = steps - 1, high - low
+        step = delta / div
+        for index in range(div):
+            yield index * step + low if step else index / div * delta + low
+        yield high
+        return
+    yield low
+    exponents = grid_values(math.log10(low), math.log10(high), steps, SweepScale.LINEAR)
+    for exponent in islice(exponents, 1, steps - 1):
+        try:
+            value = 10.0 ** exponent
+        except OverflowError:
+            value = high
+        yield min(max(value, low), high)
+    yield high
 
 
-def _rejection_reason(spec: SweepSpec) -> Callable[[float], str]:
-    """The error ScenarioSpec raises at a finite grid value that
-    ``invalid_values`` marks, in its order: positivity, then altitude order."""
-    base, parameter = spec.base, spec.parameter
+def value_error(parameter: SweepParameter, air_altitude_km: float | None,
+                space_altitude_km: float | None) -> Callable[[float], str | None]:
+    """The checks ``ScenarioSpec`` and ``AntennaConfig`` apply to a swept
+    value (library units), in their order, as a function from the value to
+    the text of the first that fails, or None: positivity and finiteness, or
+    the elevation range; then the order against the other layer's fixed
+    altitude, which is None for a layer the scenario lacks."""
     if parameter is SweepParameter.MIN_ELEVATION:
-        return partial(_elevation_text, "min_elevation_rad")
+        return lambda value: (None if 0.0 <= value <= 0.5 * math.pi
+                              else _elevation_text("min_elevation_rad", value))
     if parameter is SweepParameter.CARRIER_FREQUENCY:
-        return partial(_positive_text, "carrier_frequency_hz")
+        return partial(_positive_error, "carrier_frequency_hz")
     air = parameter is SweepParameter.AIR_ALTITUDE
     name = "air_altitude_km" if air else "space_altitude_km"
-    fixed = repr(base.space_altitude_km if air else base.air_altitude_km)
+    fixed = space_altitude_km if air else air_altitude_km
+    fixed_repr = repr(fixed)
 
-    def reason(value: float) -> str:
-        if not value > 0.0:
-            return _positive_text(name, value)
-        if air:
-            return _altitude_order_text(repr(value), fixed)
-        return _altitude_order_text(fixed, repr(value))
-    return reason
-
-
-def _acos_clamped(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """arccos of ``delta`` clamped to [-1, 1] as ``geometry._clamp_cosine``
-    does, plus the mask of arguments outside it beyond CLAMP_TOLERANCE."""
-    beyond = (delta - 1.0 > CLAMP_TOLERANCE) | (-1.0 - delta > CLAMP_TOLERANCE)
-    return np.arccos(np.clip(delta, -1.0, 1.0)), beyond
+    def error(value: float) -> str | None:
+        reason = _positive_error(name, value)
+        if reason is not None or fixed is None:
+            return reason
+        if air and value >= fixed:
+            return _altitude_order_text(repr(value), fixed_repr)
+        if not air and fixed >= value:
+            return _altitude_order_text(fixed_repr, repr(value))
+        return None
+    return error
 
 
-def _evaluate(spec: SweepSpec, values: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``coverage`` at every grid value in one array pass.
+def _dome_at(base: ScenarioSpec,
+             parameter: SweepParameter) -> Callable[[float], tuple[float, float, bool]]:
+    """The kernel's (phi, area, tangent_limited) of ``coverage`` of the base
+    scenario with the swept parameter set to a value ``value_error`` passes.
+    As in ``coverage``, an uplink's beamwidth is formed on each row, from the
+    swept or the fixed carrier frequency."""
+    scenario, earth, antenna = base.scenario, base.earth_radius_km, base.antenna
+    uplink = scenario.direction is Direction.UPLINK
+    r_t, r_r = resolve_radii(base)
+    layer = {SweepParameter.AIR_ALTITUDE: Layer.AIR,
+             SweepParameter.SPACE_ALTITUDE: Layer.SPACE}.get(parameter)
+    at_t, at_r = scenario.transmitter_layer is layer, scenario.receiver_layer is layer
+    fixed = antenna.carrier_frequency_hz if uplink else base.min_elevation_rad
 
-    Returns new arrays (vertex angle, area, tangent_limited, irregular,
-    rejected), where ``rejected`` is the ``invalid_values`` mask.
-    The closed forms and their operation order are those of ``coverage``;
-    only the transcendental functions come from numpy instead of ``math``.
-    Squares go through ``np.float_power``, the C library's ``pow`` that
-    Python's ``x ** 2`` calls, because ``x * x`` differs from it in the last
-    bit for about one value in a thousand, and arccos near 1 magnifies that.
-    An ``irregular`` row is one the scalar path rejects (an invalid
-    scenario, radii in the wrong order, which float rounding allows for tiny
-    altitudes, a beam outside (0, pi), a clamp exceeded beyond tolerance) or
-    whose result is not finite; its other columns are meaningless.
-    """
-    base, parameter = spec.base, spec.parameter
-
-    def field(swept: SweepParameter, fixed: float) -> np.ndarray | np.float64:
-        # Fixed values enter as np.float64, so that every operation below
-        # obeys np.errstate (a Python float division by 0 raises) and ``~``
-        # negates a numpy bool, never a Python one (~True is -2).
-        return values if parameter is swept else np.float64(fixed)
-
-    def radius(layer: Layer) -> np.ndarray | np.float64:
-        earth = np.float64(base.earth_radius_km)
-        if layer is Layer.GROUND:
-            return earth
-        if layer is Layer.AIR:
-            return earth + field(SweepParameter.AIR_ALTITUDE, base.air_altitude_km)
-        return earth + field(SweepParameter.SPACE_ALTITUDE, base.space_altitude_km)
-
-    rejected = invalid_values(parameter, values, base.air_altitude_km,
-                              base.space_altitude_km)
-    r_t = radius(base.scenario.transmitter_layer)
-    r_r = radius(base.scenario.receiver_layer)
-    with np.errstate(all="ignore"):
-        if base.scenario.direction is Direction.UPLINK:
-            antenna = base.antenna
-            frequency = field(SweepParameter.CARRIER_FREQUENCY, antenna.carrier_frequency_hz)
-            beamwidth = np.radians(
-                antenna.illumination_coefficient * LIGHT_SPEED_M_PER_S
-                / (frequency * antenna.reflector_diameter_m))
-            half = 0.5 * beamwidth
-            ratio = r_t / r_r
-            tangent = half > np.arcsin(ratio)
-            k = r_r / r_t
-            s = np.sin(half)
-            radicand = 1.0 - np.float_power(k * s, 2.0)
-            delta = k * s * s + np.cos(half) * np.sqrt(np.maximum(radicand, 0.0))
-            phi, beyond = _acos_clamped(delta)
-            phi = np.where(tangent, np.arccos(ratio), phi)
-            irregular = (rejected | ~(r_t > 0.0) | (r_t >= r_r)
-                         | ~((beamwidth > 0.0) & (beamwidth < math.pi))
-                         | (~tangent & ((-radicand > CLAMP_TOLERANCE) | beyond)))
-        else:
-            elevation = field(SweepParameter.MIN_ELEVATION, base.min_elevation_rad)
-            k = r_r / r_t
-            c = np.cos(elevation)
-            radicand = 1.0 - np.float_power(k * c, 2.0)
-            delta = k * c * c + np.sin(elevation) * np.sqrt(np.maximum(radicand, 0.0))
-            phi, beyond = _acos_clamped(delta)
-            tangent = np.zeros(values.shape, dtype=bool)
-            irregular = (rejected | ~(r_r > 0.0) | (r_r >= r_t)
-                         | (-radicand > CLAMP_TOLERANCE) | beyond)
-        half_sin = np.sin(0.5 * phi)
-        area = 4.0 * math.pi * r_t * r_t * half_sin * half_sin
-    return phi, area, tangent, irregular | ~np.isfinite(phi) | ~np.isfinite(area), rejected
+    def dome(value: float) -> tuple[float, float, bool]:
+        angle = value if layer is None else fixed
+        if uplink:
+            angle = _beamwidth(antenna.illumination_coefficient, angle,
+                               antenna.reflector_diameter_m)
+        return _dome(uplink, earth + value if at_t else r_t, earth + value if at_r else r_r,
+                     angle)
+    return dome
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate coverage at each grid point, in grid order.
-
-    The grid is evaluated in one array pass.  A row whose value makes the
-    scenario itself invalid (``invalid_values``) takes its reason from that
-    mask, in the text ScenarioSpec would raise.  Other rows the pass marks
-    irregular are evaluated again by the scalar ``coverage`` path, whose
-    result is written in place and which supplies their error text.
-    """
-    values = grid_values(spec.low, spec.high, spec.steps, spec.scale)
-    phi, area, tangent, irregular, rejected = _evaluate(spec, values)
-    # ScenarioSpec refuses an infinite value (geomspace can round one up next
-    # to the largest float) as not finite before it compares the altitudes,
-    # so such a row takes the scalar path.
-    rejected &= np.isfinite(values)
-    phi[rejected] = area[rejected] = math.nan
-    tangent[rejected] = False
-    reason = _rejection_reason(spec)
-    errors = {}
-    for index in np.flatnonzero(irregular).tolist():
-        # A float, not np.float64, so error texts quote it as the scalar path does.
-        value = float(values[index])
-        if rejected[index]:
-            errors[index] = reason(value)
-            continue
-        try:
-            dome = coverage(_with_parameter(spec.base, spec.parameter, value))
-            row = dome.vertex_angle_rad, dome.area_km2, dome.tangent_limited
-        except SaginDomeError as exc:
-            errors[index] = str(exc)
+    """Evaluate coverage at each grid point, in grid order."""
+    reject = value_error(spec.parameter, spec.base.air_altitude_km,
+                         spec.base.space_altitude_km)
+    dome_at = _dome_at(spec.base, spec.parameter)
+    values = array("d", grid_values(spec.low, spec.high, spec.steps, spec.scale))
+    phi, area, tangent, errors = array("d"), array("d"), [], {}
+    for index, value in enumerate(values):
+        reason = reject(value)
+        if reason is None:
+            try:
+                row = dome_at(value)
+            except SaginDomeError as exc:
+                reason = str(exc)
+        if reason is not None:
+            errors[index] = reason
             row = math.nan, math.nan, False
-        phi[index], area[index], tangent[index] = row
+        phi.append(row[0])
+        area.append(row[1])
+        tangent.append(row[2])
     return SweepTable(values, phi, area, tangent, errors)

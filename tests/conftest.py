@@ -1,4 +1,4 @@
-"""Shared reference scenarios for the test suite.
+"""Shared reference scenarios and the sweep-row oracle for the test suite.
 
 The six configurations mirror the published evaluation setup: uplinks under
 a MEO satellite at 20000 km with aerial vehicles at 5 km, downlinks under a
@@ -6,11 +6,12 @@ LEO constellation at 600 km.  Published coverage areas for them are listed
 in PUBLISHED_AREAS_KM2 and carry a 0.5% acceptance tolerance.
 """
 
+import dataclasses
 import math
 
 import pytest
 
-from sagindome import AntennaConfig, Scenario, ScenarioSpec
+from sagindome import AntennaConfig, Scenario, ScenarioSpec, SweepParameter
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -48,6 +49,20 @@ def reference_spec(scenario: Scenario) -> ScenarioSpec:
                             min_elevation_rad=math.radians(30.0))
     return ScenarioSpec(scenario, space_altitude_km=600.0,
                         min_elevation_rad=math.radians(10.0))
+
+
+def with_parameter(base: ScenarioSpec, parameter: SweepParameter,
+                   value: float) -> ScenarioSpec:
+    """The scenario a sweep evaluates at one grid value: ``coverage`` of it
+    is the oracle of that sweep row."""
+    if parameter is SweepParameter.CARRIER_FREQUENCY:
+        antenna = dataclasses.replace(base.antenna, carrier_frequency_hz=value)
+        return dataclasses.replace(base, antenna=antenna)
+    if parameter is SweepParameter.MIN_ELEVATION:
+        return dataclasses.replace(base, min_elevation_rad=value)
+    if parameter is SweepParameter.AIR_ALTITUDE:
+        return dataclasses.replace(base, air_altitude_km=value)
+    return dataclasses.replace(base, space_altitude_km=value)
 
 
 @pytest.fixture

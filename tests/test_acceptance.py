@@ -22,8 +22,6 @@ from sagindome import (
     SampleConfig,
     SampleMode,
     Scenario,
-    angular_distance,
-    cap_center_direction,
     coverage,
     expected_count,
     full_sphere_count,
@@ -37,6 +35,7 @@ from sagindome import (
     vertex_angle_uplink_oracle,
 )
 from sagindome.sweeps import SweepParameter, SweepSpec, run_sweep
+from cap_oracles import angular_distance, cap_center_direction
 from conftest import reference_spec
 from test_pointprocess import _poisson_chi_square_pvalue
 

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from sagindome import (
@@ -21,7 +20,7 @@ from sagindome import (
     run_sweep,
 )
 import sagindome
-from sagindome import pointprocess
+from sagindome import pointprocess, sweeps
 from sagindome.cli import main
 from sagindome.io import sweep_csv_chunks
 from sagindome.pointprocess import MAX_SAMPLE_POINTS
@@ -281,8 +280,7 @@ class TestSweepCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the grid must not be built")
 
-        monkeypatch.setattr(np, "linspace", refuse)
-        monkeypatch.setattr(np, "geomspace", refuse)
+        monkeypatch.setattr(sweeps, "grid_values", refuse)
         code, out, err = run_cli([
             "sweep", *G2S_MEO_FLAGS, "--param", "carrier_frequency",
             "--from", "2e9", "--to", "40e9", "--steps", steps, "--scale", scale], capsys)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -311,8 +312,8 @@ def per_value_sweep_csv(rows) -> str:
 def table_of(rows, errors=None) -> SweepTable:
     """A sweep table of (param, phi, area, tangent) rows."""
     columns = list(zip(*rows)) or [(), (), (), ()]
-    return SweepTable(*(np.array(column, dtype=float) for column in columns[:3]),
-                      np.array(columns[3], dtype=bool), errors or {})
+    return SweepTable(*(array("d", column) for column in columns[:3]),
+                      [bool(flag) for flag in columns[3]], errors or {})
 
 
 def topology_of(points: np.ndarray) -> Topology:

@@ -19,9 +19,7 @@ from sagindome import (
     SampleConfig,
     SampleMode,
     Scenario,
-    angular_distance,
     cap_area,
-    cap_center_direction,
     coverage,
     generate,
     make_rng,
@@ -30,6 +28,7 @@ from sagindome import (
     yaw_pitch_matrix,
 )
 from sagindome.pointprocess import MAX_SAMPLE_POINTS
+from cap_oracles import angular_distance, cap_center_direction
 from conftest import reference_spec
 
 

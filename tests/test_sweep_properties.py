@@ -1,9 +1,9 @@
-"""Property test: the array pass of ``run_sweep`` against the scalar path.
+"""Property test: every row of ``run_sweep`` is ``coverage`` at its grid value.
 
-Every row of ``run_sweep`` is compared with ``coverage`` evaluated at the
-same grid value, and with the difference-form oracles.  Bases, parameters
-and grids are drawn so that grids cross the tangent-limited boundary and
-the invalid regions (negative altitudes, air at or above space, elevations
+Every row is compared with ``coverage`` evaluated at the same grid value,
+bit for bit, and with the difference-form oracles.  Bases, parameters and
+grids are drawn so that grids cross the tangent-limited boundary and the
+invalid regions (negative altitudes, air at or above space, elevations
 outside [0, pi/2], beams wider than 180 degrees).
 """
 
@@ -30,15 +30,14 @@ from sagindome import (
     vertex_angle_downlink_oracle,
     vertex_angle_uplink_oracle,
 )
-from sagindome.scenarios import _with_parameter, parameter_applicable
+from sagindome.scenarios import parameter_applicable
 from sagindome.sweeps import grid_values
+from conftest import with_parameter
 
-SCALAR_RAD = 1e-12      # vertex angle against the scalar path
 ORACLE_RAD = 1e-9       # vertex angle against the difference-form oracles
-AREA_RTOL = 1e-10       # area against the scalar path
-BOUNDARY_RAD = 1e-12    # tangent flags may differ this close to the boundary
+BOUNDARY_RAD = 1e-12    # the oracles lose precision this close to the tangent boundary
 # arccos near 1 costs the closed form about 1e-16/phi rad, so below this
-# angle it cannot meet the oracle bound, on either path.
+# angle it cannot meet the oracle bound.
 ORACLE_MIN_PHI = 1e-6
 
 
@@ -116,27 +115,22 @@ def _oracle(spec: ScenarioSpec, tangent_limited: bool) -> float:
 @given(sweeps())
 def test_array_pass_matches_scalar_path(spec):
     table = run_sweep(spec)
-    grid = grid_values(spec.low, spec.high, spec.steps, spec.scale).tolist()
-    assert table.parameter_value.tolist() == grid
+    grid = table.parameter_value.tolist()
+    assert grid == list(grid_values(spec.low, spec.high, spec.steps, spec.scale))
     assert set(table.errors) <= set(range(len(grid)))
-    rows = zip(grid, table.vertex_angle_rad.tolist(), table.area_km2.tolist(),
-               table.tangent_limited.tolist())
+    rows = zip(grid, table.vertex_angle_rad, table.area_km2, table.tangent_limited)
     for index, (value, phi, area, tangent_limited) in enumerate(rows):
         try:
-            point = _with_parameter(spec.base, spec.parameter, value)
+            point = with_parameter(spec.base, spec.parameter, value)
             dome = coverage(point)
         except SaginDomeError as exc:
             assert table.errors.get(index) == str(exc)
             assert math.isnan(phi) and math.isnan(area)
-            assert not tangent_limited
+            assert tangent_limited is False
             continue
         assert index not in table.errors
-        near_boundary = abs(_boundary_distance(point)) <= BOUNDARY_RAD
-        if tangent_limited != dome.tangent_limited:
-            # Only an ulp of the threshold apart: the branches meet there.
-            assert near_boundary
-            continue
-        assert abs(phi - dome.vertex_angle_rad) <= SCALAR_RAD
-        assert math.isclose(area, dome.area_km2, rel_tol=AREA_RTOL, abs_tol=0.0)
-        if not near_boundary and phi >= ORACLE_MIN_PHI:
+        assert phi == dome.vertex_angle_rad
+        assert area == dome.area_km2
+        assert tangent_limited is dome.tangent_limited
+        if abs(_boundary_distance(point)) > BOUNDARY_RAD and phi >= ORACLE_MIN_PHI:
             assert abs(phi - _oracle(point, tangent_limited)) <= ORACLE_RAD

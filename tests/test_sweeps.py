@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sagindome import (
     AntennaConfig,
+    DomeGeometry,
     InvalidParameterError,
     Scenario,
     ScenarioSpec,
@@ -19,10 +22,11 @@ from sagindome import (
     full_sphere_count,
     run_sweep,
 )
-from sagindome import sweeps
+from sagindome.cli import main
 from sagindome.errors import SaginDomeError
-from sagindome.scenarios import MAX_SWEEP_STEPS, _with_parameter
-from conftest import reference_spec
+from sagindome.scenarios import MAX_SWEEP_STEPS
+from sagindome.sweeps import grid_values
+from conftest import reference_spec, with_parameter
 
 
 def _areas(table: SweepTable) -> list[float]:
@@ -74,6 +78,56 @@ class TestSweepSpecValidation:
     def test_inapplicable_parameter_rejected(self, scenario, parameter):
         with pytest.raises(InvalidParameterError, match="inapplicable"):
             SweepSpec(reference_spec(scenario), parameter, 1.0, 2.0, 5)
+
+
+def _grid_ranges(smallest: float = -1e300):
+    finite = st.floats(smallest, 1e300, allow_nan=False, allow_infinity=False)
+    return st.tuples(finite, finite).filter(lambda pair: pair[0] < pair[1])
+
+
+class TestGridValues:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_grid_ranges(), st.integers(2, 300))
+    def test_linear_grid_is_linspace(self, bounds, steps):
+        low, high = bounds
+        grid = list(grid_values(low, high, steps, SweepScale.LINEAR))
+        assert grid == np.linspace(low, high, steps).tolist()
+
+    def test_linear_grid_whose_step_underflows_is_linspace(self):
+        # (high - low) / 99 rounds to 0, so linspace scales i / 99 instead.
+        grid = list(grid_values(5e-324, 1e-323, 100, SweepScale.LINEAR))
+        assert grid == np.linspace(5e-324, 1e-323, 100).tolist()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_grid_ranges(1e-300), st.integers(2, 300))
+    def test_log_grid_keeps_its_ends_and_stays_in_range(self, bounds, steps):
+        low, high = bounds
+        grid = list(grid_values(low, high, steps, SweepScale.LOGARITHMIC))
+        assert len(grid) == steps and grid[0] == low and grid[-1] == high
+        assert all(low <= value <= high for value in grid)
+        assert np.allclose(grid, np.geomspace(low, high, steps), rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(1e-300, 1e300), st.integers(1, 4), st.integers(3, 6))
+    @example(2067.70305724198, 1, 4)  # 10 ** y rounds above the grid end here
+    def test_log_grid_between_neighbouring_floats_stays_in_range(self, low, ulps, steps):
+        high = low
+        for _ in range(ulps):
+            high = math.nextafter(high, math.inf)
+        grid = list(grid_values(low, high, steps, SweepScale.LOGARITHMIC))
+        assert grid[0] == low and grid[-1] == high
+        assert all(low <= value <= high for value in grid)
+
+
+# A 175-degree beam, tangent-limited above a few km of receiver altitude.
+WIDE_BEAM_G2A = ScenarioSpec(Scenario.G2A, air_altitude_km=5.0,
+                             antenna=AntennaConfig(70.0, 0.2, 0.6e9))
+# A 52.5-degree beam, tangent-limited above about 8000 km.
+WIDE_BEAM_G2S = ScenarioSpec(Scenario.G2S, space_altitude_km=600.0,
+                             antenna=AntennaConfig(70.0, 0.2, 2e9))
+# f * D underflows to 0, so every row with a valid altitude fails on it.
+UNDERFLOWING_G2S = ScenarioSpec(Scenario.G2S, space_altitude_km=600.0,
+                                antenna=AntennaConfig(70.0, 1e-320, 1e-320))
 
 
 class TestRunSweep:
@@ -129,12 +183,13 @@ class TestRunSweep:
         table = run_sweep(SweepSpec(reference_spec(Scenario.G2A),
                                     SweepParameter.CARRIER_FREQUENCY,
                                     300e6, 2.4e9, 22, SweepScale.LOGARITHMIC))
-        failed = np.zeros(len(table.parameter_value), dtype=bool)
-        failed[list(table.errors)] = True
-        assert failed.any() and not failed.all()
-        assert np.isnan(table.area_km2[failed]).all()
-        assert (table.parameter_value[failed] < 583.1e6).all()
-        assert (table.area_km2[~failed] > 0).all()
+        failed = set(table.errors)
+        assert failed and len(failed) < len(table.parameter_value)
+        for index, (value, area) in enumerate(zip(table.parameter_value, table.area_km2)):
+            if index in failed:
+                assert math.isnan(area) and value < 583.1e6
+            else:
+                assert area > 0
 
     @pytest.mark.parametrize("scenario,parameter,low,high,failures", [
         # Air altitudes from 1 km up past the 20000 km space layer.
@@ -147,32 +202,18 @@ class TestRunSweep:
     ])
     def test_scalar_path_runs_only_for_failed_rows(self, monkeypatch, scenario, parameter,
                                                    low, high, failures):
-        calls = []
+        # The scalar path, a ScenarioSpec and a DomeGeometry per row, now
+        # runs for no row at all: failed and evaluated rows alike go through
+        # the value checks and the kernel, and no dataclass is built.
+        spec = SweepSpec(reference_spec(scenario), parameter, low, high, 300)
 
-        def counting_coverage(spec):
-            calls.append(spec)
-            return coverage(spec)
+        def refuse(self):
+            raise AssertionError("a sweep row must build no dataclass")
 
-        monkeypatch.setattr(sweeps, "coverage", counting_coverage)
-        table = run_sweep(SweepSpec(reference_spec(scenario), parameter, low, high, 300))
+        for cls in (AntennaConfig, ScenarioSpec, DomeGeometry):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        table = run_sweep(spec)
         assert len(table.errors) == failures
-        assert len(calls) <= failures
-
-    def test_rows_the_scenario_rejects_make_no_scalar_call(self, monkeypatch):
-        # Air altitudes at or above the 20000 km space layer: 100 of 300 rows.
-        # Such a row builds no ScenarioSpec, whose check would raise first.
-        def refuse(*args):
-            raise AssertionError("a row the mask explains must take no scalar path")
-
-        monkeypatch.setattr(sweeps, "coverage", refuse)
-        monkeypatch.setattr(sweeps, "_with_parameter", refuse)
-        table = run_sweep(SweepSpec(reference_spec(Scenario.A2S),
-                                    SweepParameter.AIR_ALTITUDE, 1.0, 30000.0, 300))
-        assert len(table.errors) == 100
-        assert list(table.errors) == sorted(table.errors)
-        assert set(table.errors.values()) == {
-            f"air_altitude_km={value!r} must be below space_altitude_km=20000.0"
-            for value in table.parameter_value[list(table.errors)].tolist()}
 
     @pytest.mark.parametrize("scenario,parameter,low,high,reasons", [
         (Scenario.G2S, SweepParameter.CARRIER_FREQUENCY, -40e9, 40e9,
@@ -196,7 +237,7 @@ class TestRunSweep:
         expected = {}
         for index, value in enumerate(table.parameter_value.tolist()):
             try:
-                coverage(_with_parameter(base, parameter, value))
+                coverage(with_parameter(base, parameter, value))
             except SaginDomeError as exc:
                 expected[index] = str(exc)
         assert table.errors == expected
@@ -204,22 +245,60 @@ class TestRunSweep:
         for reason in reasons:
             assert any(reason in text for text in table.errors.values()), reason
         failed = list(table.errors)
-        assert np.isnan(table.vertex_angle_rad[failed]).all()
-        assert np.isnan(table.area_km2[failed]).all()
-        assert not table.tangent_limited[failed].any()
+        assert np.isnan(np.asarray(table.vertex_angle_rad)[failed]).all()
+        assert np.isnan(np.asarray(table.area_km2)[failed]).all()
+        assert not np.asarray(table.tangent_limited)[failed].any()
 
-    def test_infinite_grid_value_takes_the_scalar_path(self):
-        # geomspace rounds the middle of this grid up to inf; ScenarioSpec
-        # refuses it as not finite before it compares the altitudes.
-        base = ScenarioSpec(Scenario.A2S, air_altitude_km=5.0,
-                            space_altitude_km=1.7976931348623157e308,
-                            antenna=AntennaConfig(70.0, 4.0, 40e9))
-        with np.errstate(over="ignore"):
-            table = run_sweep(SweepSpec(base, SweepParameter.AIR_ALTITUDE,
-                                        1.7976931348623155e308, 1.7976931348623157e308,
-                                        3, SweepScale.LOGARITHMIC))
-        assert table.parameter_value[1] == math.inf
-        assert table.errors[1] == "air_altitude_km must be finite, got inf"
+    @pytest.mark.parametrize("base,parameter,low,high", [
+        # Across the tangent boundary near 2.7 GHz, and beams wider than pi.
+        (reference_spec(Scenario.G2S), SweepParameter.CARRIER_FREQUENCY, -1e9, 40e9),
+        (reference_spec(Scenario.G2A), SweepParameter.CARRIER_FREQUENCY, 300e6, 2.4e9),
+        (reference_spec(Scenario.S2G), SweepParameter.MIN_ELEVATION, -0.5 * math.pi, math.pi),
+        # Receiver altitudes across the tangent boundary of a wide beam.
+        (WIDE_BEAM_G2A, SweepParameter.AIR_ALTITUDE, -10.0, 50.0),
+        (WIDE_BEAM_G2S, SweepParameter.SPACE_ALTITUDE, 1.0, 36000.0),
+        (reference_spec(Scenario.A2S), SweepParameter.AIR_ALTITUDE, -30000.0, 30000.0),
+        (reference_spec(Scenario.S2A), SweepParameter.SPACE_ALTITUDE, -600.0, 36000.0),
+        (UNDERFLOWING_G2S, SweepParameter.SPACE_ALTITUDE, -600.0, 36000.0),
+    ], ids=["g2s-frequency", "g2a-frequency", "s2g-elevation", "g2a-air", "g2s-space",
+            "a2s-air", "s2a-space", "g2s-space-underflow"])
+    @pytest.mark.parametrize("scale", list(SweepScale))
+    def test_rows_are_coverage_at_their_grid_values(self, base, parameter, low, high, scale):
+        if scale is SweepScale.LOGARITHMIC:
+            low = max(low, 1e-3)
+        table = run_sweep(SweepSpec(base, parameter, low, high, 501, scale))
+        assert table.parameter_value.tolist() == list(grid_values(low, high, 501, scale))
+        kinds = set()
+        rows = zip(table.parameter_value, table.vertex_angle_rad, table.area_km2,
+                   table.tangent_limited)
+        for index, (value, phi, area, tangent_limited) in enumerate(rows):
+            try:
+                dome = coverage(with_parameter(base, parameter, value))
+            except SaginDomeError as exc:
+                kinds.add(type(exc))
+                assert table.errors[index] == str(exc)
+                assert math.isnan(phi) and math.isnan(area) and tangent_limited is False
+                continue
+            kinds.add(dome.tangent_limited)
+            assert index not in table.errors
+            assert (phi, area, tangent_limited) == (
+                dome.vertex_angle_rad, dome.area_km2, dome.tangent_limited)
+        assert kinds - {False}, "the grid crosses no boundary"
+
+    def test_log_grid_next_to_the_largest_float_stays_in_range(self, capsys):
+        # A power of ten that rounds up past the largest float gives the
+        # grid end, not inf.
+        low, high = "1.7976931348623155e308", "1.7976931348623157e308"
+        code = main(["sweep", "--scenario", "a2s", "--space-altitude-km", high,
+                     "--carrier-frequency-hz", "2e10", "--illumination-coefficient", "70",
+                     "--reflector-diameter-m", "1", "--param", "air_altitude",
+                     "--from", low, "--to", high, "--steps", "3", "--scale", "log"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "RuntimeWarning" not in err and err.count("\n") == 1
+        values = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert len(values) == 3
+        assert all(float(low) <= value <= float(high) for value in values)
 
     def test_deterministic(self):
         spec = SweepSpec(reference_spec(Scenario.S2G), SweepParameter.MIN_ELEVATION,
@@ -245,7 +324,7 @@ class TestRunSweep:
         base = ScenarioSpec(Scenario.G2A, air_altitude_km=5.0,
                             antenna=AntennaConfig(70.0, 0.2, 0.6e9))
         table = run_sweep(SweepSpec(base, SweepParameter.AIR_ALTITUDE, 1.0, 50.0, 25))
-        assert table.tangent_limited.any()
+        assert any(table.tangent_limited)
         assert not table.errors
 
 
