@@ -28,7 +28,6 @@ from .io import (
 )
 from .scenarios import (
     MAX_SWEEP_STEPS,
-    Direction,
     Scenario,
     SweepParameter,
     SweepScale,
@@ -133,7 +132,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         "r_t_km": dome.transmitter_radius_km,
         "r_r_km": dome.receiver_radius_km,
     }
-    if spec.scenario.direction is Direction.UPLINK:
+    if spec.antenna is not None:
         payload["beamwidth_rad"] = half_power_beamwidth(spec.antenna)
     payload.update({
         "vertex_angle_rad": dome.vertex_angle_rad,
@@ -210,8 +209,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     from .pointprocess import DEFAULT_RNG_ALGORITHM, generate
 
     descriptor = _descriptor_from_args(args)
-    config = descriptor.sample_config()
     dome = coverage(descriptor.spec)
+    config = descriptor.sample_config()
     topology = generate(dome, config)
     write_text_file(args.output, points_csv_chunks(topology))
     print(dumps({
@@ -227,15 +226,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     descriptor = _descriptor_from_args(args)
-    if descriptor.density_per_km2 is None:
-        raise SaginDomeError("descriptor is missing density_per_km2")
     dome = coverage(descriptor.spec)
-    exact, mean = expected_count(dome, descriptor.density_per_km2)
+    density = descriptor.sample_config(required=("density_per_km2",)).density_per_km2
+    exact, mean = expected_count(dome, density)
     print(dumps({
         "exact_product": exact,
         "poisson_mean": mean,
-        "full_sphere_count": full_sphere_count(dome.transmitter_radius_km,
-                                               descriptor.density_per_km2),
+        "full_sphere_count": full_sphere_count(dome.transmitter_radius_km, density),
     }))
     return EXIT_OK
 

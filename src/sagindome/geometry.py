@@ -236,9 +236,9 @@ def _dome(uplink: bool, r_t_km: float, r_r_km: float,
         phi, tangent_limited = vertex_angle_downlink(angle_rad, r_t_km, r_r_km), False
     area = cap_area(r_t_km, phi)
     if not (r_r_km < math.inf and area < math.inf):
-        # Past the checks above, only an infinite receiver radius or area
-        # fails a DomeGeometry check; building one raises that check's text.
-        DomeGeometry(r_t_km, r_r_km, phi, math.cos(phi), area, tangent_limited)
+        # Past the checks above, only these two DomeGeometry checks can fail.
+        _require_positive("receiver_radius_km", r_r_km)
+        _require_finite_nonnegative("area_km2", area)
     return phi, area, tangent_limited
 
 

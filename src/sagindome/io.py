@@ -14,18 +14,25 @@ from typing import TYPE_CHECKING
 
 from .errors import DescriptorError, InvalidParameterError, OutputError
 from .geometry import DEFAULT_EARTH_RADIUS_KM, AntennaConfig
-from .scenarios import Direction, Layer, SampleConfig, SampleMode, Scenario, ScenarioSpec
+from .scenarios import SampleConfig, SampleMode, Scenario, ScenarioSpec, inputs
 
 if TYPE_CHECKING:
     from .pointprocess import Topology
     from .sweeps import SweepTable
 
-_ANTENNA_KEYS = ("carrier_frequency_hz", "illumination_coefficient",
-                 "reflector_diameter_m")
+# The descriptor keys that set each optional ScenarioSpec field.
+_FIELD_KEYS = {
+    "antenna": ("carrier_frequency_hz", "illumination_coefficient", "reflector_diameter_m"),
+    "min_elevation_rad": ("min_elevation_deg",),
+    "air_altitude_km": ("air_altitude_km",),
+    "space_altitude_km": ("space_altitude_km",),
+}
+# Sampling keys without a default: a descriptor lacking one still parses,
+# but cannot be sampled (or, lacking the density, counted).
+_SAMPLE_REQUIRED = ("density_per_km2", "seed")
 _KNOWN_KEYS = frozenset({
-    "scenario", *_ANTENNA_KEYS, "min_elevation_deg", "air_altitude_km",
-    "space_altitude_km", "earth_radius_km", "density_per_km2",
-    "rx_azimuth_deg", "rx_polar_deg", "seed", "mode",
+    "scenario", *(key for keys in _FIELD_KEYS.values() for key in keys), "earth_radius_km",
+    *_SAMPLE_REQUIRED, "rx_azimuth_deg", "rx_polar_deg", "mode",
 })
 
 SWEEP_CSV_HEADER = "param_value,vertex_angle_rad,area_km2,tangent_limited"
@@ -39,27 +46,21 @@ _CHUNK_ROWS = 16384
 
 @dataclass(frozen=True)
 class Descriptor:
-    """A parsed descriptor: the scenario plus optional sampling fields."""
+    """A parsed descriptor: the scenario and the sampling request, every key
+    of both checked.  A sampling key without a default that the descriptor
+    lacks (density 0, seed 0 stand in) is listed in ``missing``."""
 
     spec: ScenarioSpec
-    density_per_km2: float | None
-    rx_azimuth_rad: float
-    rx_polar_rad: float
-    seed: int | None
-    mode: SampleMode
+    sample: SampleConfig
+    missing: tuple[str, ...]
 
-    def sample_config(self) -> SampleConfig:
-        if self.density_per_km2 is None:
-            raise DescriptorError("descriptor is missing density_per_km2")
-        if self.seed is None:
-            raise DescriptorError("descriptor is missing seed")
-        return SampleConfig(
-            density_per_km2=self.density_per_km2,
-            rx_azimuth_rad=self.rx_azimuth_rad,
-            rx_polar_rad=self.rx_polar_rad,
-            mode=self.mode,
-            seed=self.seed,
-        )
+    def sample_config(self, required: tuple[str, ...] = _SAMPLE_REQUIRED) -> SampleConfig:
+        """The sampling request, once the descriptor has every key in
+        ``required``; the first it lacks is refused."""
+        for key in required:
+            if key in self.missing:
+                raise DescriptorError(f"descriptor is missing {key}")
+        return self.sample
 
 
 def _reject_nonfinite(token: str) -> float:
@@ -80,18 +81,13 @@ def _real(data: dict, key: str, default: float | None = None) -> float | None:
             f"{key} must be finite, got an integer beyond the float range") from None
 
 
-def _integer(data: dict, key: str) -> int:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DescriptorError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def parse_descriptor(data: object) -> Descriptor:
     """Validate a descriptor object and build the scenario it describes.
 
-    Unknown keys and keys inapplicable to the scenario's direction or layers
-    are rejected outright.
+    Every key is checked here, whatever the descriptor is used for: unknown
+    keys, keys the scenario does not take (``scenarios.inputs``), missing
+    required keys, and then each value, the sampling keys included, as
+    ``ScenarioSpec`` and ``SampleConfig`` check them.
     """
     if not isinstance(data, dict):
         raise DescriptorError(f"descriptor must be a JSON object, got {type(data).__name__}")
@@ -108,69 +104,43 @@ def parse_descriptor(data: object) -> Descriptor:
             f"scenario must be one of {sorted(s.value for s in Scenario)}, "
             f"got {raw_scenario!r}") from None
 
-    inapplicable = []
-    if scenario.direction is Direction.UPLINK:
-        inapplicable.append("min_elevation_deg")
-        required = list(_ANTENNA_KEYS)
-    else:
-        inapplicable.extend(_ANTENNA_KEYS)
-        required = ["min_elevation_deg"]
-    if Layer.AIR in scenario.layers:
-        required.append("air_altitude_km")
-    else:
-        inapplicable.append("air_altitude_km")
-    if Layer.SPACE in scenario.layers:
-        required.append("space_altitude_km")
-    else:
-        inapplicable.append("space_altitude_km")
-
-    present_inapplicable = sorted(k for k in inapplicable if k in data)
+    fields = inputs(scenario)
+    present_inapplicable = sorted(key for field, required in fields.items() if not required
+                                  for key in _FIELD_KEYS[field] if key in data)
     if present_inapplicable:
         raise DescriptorError(
             f"keys not applicable to scenario {scenario.value}: "
             f"{', '.join(present_inapplicable)}")
-    missing = sorted(k for k in required if k not in data)
+    missing = sorted(key for field, required in fields.items() if required
+                     for key in _FIELD_KEYS[field] if key not in data)
     if missing:
         raise DescriptorError(
             f"scenario {scenario.value} requires keys: {', '.join(missing)}")
 
     antenna = None
-    min_elevation_rad = None
-    if scenario.direction is Direction.UPLINK:
+    if fields["antenna"]:
         antenna = AntennaConfig(
             illumination_coefficient=_real(data, "illumination_coefficient"),
             reflector_diameter_m=_real(data, "reflector_diameter_m"),
             carrier_frequency_hz=_real(data, "carrier_frequency_hz"),
         )
-    else:
-        min_elevation_rad = math.radians(_real(data, "min_elevation_deg"))
+    elevation_deg = _real(data, "min_elevation_deg")
     spec = ScenarioSpec(
         scenario=scenario,
         air_altitude_km=_real(data, "air_altitude_km"),
         space_altitude_km=_real(data, "space_altitude_km"),
         antenna=antenna,
-        min_elevation_rad=min_elevation_rad,
+        min_elevation_rad=None if elevation_deg is None else math.radians(elevation_deg),
         earth_radius_km=_real(data, "earth_radius_km", DEFAULT_EARTH_RADIUS_KM),
     )
-
-    mode_value = data.get("mode", SampleMode.AREA_UNIFORM.value)
-    try:
-        mode = SampleMode(mode_value)
-    except ValueError:
-        raise DescriptorError(
-            f"mode must be one of {[m.value for m in SampleMode]}, "
-            f"got {mode_value!r}") from None
-    density = _real(data, "density_per_km2")
-    if density is not None and density < 0.0:
-        raise DescriptorError(f"density_per_km2 must be >= 0, got {density!r}")
-    return Descriptor(
-        spec=spec,
-        density_per_km2=density,
+    sample = SampleConfig(
+        density_per_km2=_real(data, "density_per_km2", 0.0),
         rx_azimuth_rad=math.radians(_real(data, "rx_azimuth_deg", 0.0)),
         rx_polar_rad=math.radians(_real(data, "rx_polar_deg", 0.0)),
-        seed=_integer(data, "seed") if "seed" in data else None,
-        mode=mode,
+        mode=data.get("mode", SampleMode.AREA_UNIFORM),
+        seed=data.get("seed", 0),
     )
+    return Descriptor(spec, sample, tuple(key for key in _SAMPLE_REQUIRED if key not in data))
 
 
 def load_descriptor(path: str) -> Descriptor:

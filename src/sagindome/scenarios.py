@@ -10,6 +10,7 @@ The transmitter radius is always the transmitting layer's radius.  A sweep
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import InvalidGeometryError, InvalidParameterError
 from .geometry import (
@@ -73,6 +74,31 @@ _LAYER_PAIRS = {
     Scenario.S2G: (Layer.SPACE, Layer.GROUND),
 }
 
+
+def inputs(scenario: Scenario) -> MappingProxyType[str, bool]:
+    """The optional ``ScenarioSpec`` fields of a scenario, each mapped to
+    whether the scenario requires it (True) or forbids it (False).
+
+    An uplink needs the antenna whose beamwidth sets the cap, a downlink the
+    minimum elevation angle, and each needs the altitude of every layer the
+    link touches.  This is the one statement of that rule: ``ScenarioSpec``,
+    the descriptor parser and the sweep parameters all read it.
+    """
+    return _INPUTS[scenario]
+
+
+# Built once: a ScenarioSpec reads it on every construction.
+_INPUTS = {
+    scenario: MappingProxyType({
+        "antenna": scenario.direction is Direction.UPLINK,
+        "min_elevation_rad": scenario.direction is Direction.DOWNLINK,
+        "air_altitude_km": Layer.AIR in scenario.layers,
+        "space_altitude_km": Layer.SPACE in scenario.layers,
+    })
+    for scenario in Scenario
+}
+
+
 # Scenario family (by the lower endpoint of the link) selects the carrier
 # frequency range: ground-air links use the low band, links touching space
 # the satellite band.
@@ -98,10 +124,9 @@ def _altitude_order_text(air: str, space: str) -> str:
 class ScenarioSpec:
     """A fully parameterized scenario.
 
-    Uplink specs carry an antenna (whose beamwidth sets the cap) and no
-    elevation angle; downlink specs carry a minimum elevation angle and no
-    antenna.  Altitudes are required exactly for the layers the scenario
-    touches; each layer's radius is the Earth radius plus its altitude.
+    ``inputs(scenario)`` says which of the optional fields must be set and
+    which must be None; each layer's radius is the Earth radius plus its
+    altitude.
     """
 
     scenario: Scenario
@@ -116,37 +141,22 @@ class ScenarioSpec:
         if not isinstance(sc, Scenario):
             raise InvalidParameterError(f"scenario must be a Scenario, got {sc!r}")
         _require_positive("earth_radius_km", self.earth_radius_km)
-        if sc.direction is Direction.UPLINK:
-            if self.antenna is None:
-                raise InvalidParameterError(f"{sc.value}: uplink spec requires an antenna")
-            if self.min_elevation_rad is not None:
+        for field, required in inputs(sc).items():
+            if (getattr(self, field) is None) == required:
                 raise InvalidParameterError(
-                    f"{sc.value}: min_elevation_rad is not applicable to an uplink spec")
-        else:
-            if self.min_elevation_rad is None:
-                raise InvalidParameterError(
-                    f"{sc.value}: downlink spec requires min_elevation_rad")
-            if self.antenna is not None:
-                raise InvalidParameterError(
-                    f"{sc.value}: antenna is not applicable to a downlink spec")
-            if not 0.0 <= self.min_elevation_rad <= 0.5 * math.pi:
-                raise InvalidParameterError(
-                    _elevation_text("min_elevation_rad", self.min_elevation_rad))
-        self._check_altitude(Layer.AIR, "air_altitude_km", self.air_altitude_km)
-        self._check_altitude(Layer.SPACE, "space_altitude_km", self.space_altitude_km)
+                    f"{sc.value}: {field} is required" if required
+                    else f"{sc.value}: {field} is not applicable to this scenario")
+        elevation = self.min_elevation_rad
+        if elevation is not None and not 0.0 <= elevation <= 0.5 * math.pi:
+            raise InvalidParameterError(_elevation_text("min_elevation_rad", elevation))
+        for name in ("air_altitude_km", "space_altitude_km"):
+            value = getattr(self, name)
+            if value is not None:
+                _require_positive(name, value)
         if (self.air_altitude_km is not None and self.space_altitude_km is not None
                 and self.air_altitude_km >= self.space_altitude_km):
             raise InvalidGeometryError(
                 _altitude_order_text(repr(self.air_altitude_km), repr(self.space_altitude_km)))
-
-    def _check_altitude(self, layer: Layer, name: str, value: float | None) -> None:
-        if layer in self.scenario.layers:
-            if value is None:
-                raise InvalidParameterError(f"{self.scenario.value}: {name} is required")
-            _require_positive(name, value)
-        elif value is not None:
-            raise InvalidParameterError(
-                f"{self.scenario.value}: {name} is not applicable to this scenario")
 
 
 @dataclass(frozen=True)
@@ -284,13 +294,16 @@ def check_grid(low: float, high: float, steps: int, scale: SweepScale) -> None:
 
 def parameter_applicable(parameter: SweepParameter, scenario: Scenario) -> bool:
     """Whether a sweep parameter exists at all for the given scenario."""
-    if parameter is SweepParameter.CARRIER_FREQUENCY:
-        return scenario.direction is Direction.UPLINK
-    if parameter is SweepParameter.MIN_ELEVATION:
-        return scenario.direction is Direction.DOWNLINK
-    if parameter is SweepParameter.AIR_ALTITUDE:
-        return Layer.AIR in scenario.layers
-    return Layer.SPACE in scenario.layers
+    return inputs(scenario)[_PARAMETER_FIELDS[parameter]]
+
+
+# The ScenarioSpec field that holds each sweep parameter.
+_PARAMETER_FIELDS = {
+    SweepParameter.CARRIER_FREQUENCY: "antenna",
+    SweepParameter.MIN_ELEVATION: "min_elevation_rad",
+    SweepParameter.AIR_ALTITUDE: "air_altitude_km",
+    SweepParameter.SPACE_ALTITUDE: "space_altitude_km",
+}
 
 
 class SampleMode(Enum):

@@ -11,6 +11,7 @@ import pytest
 
 from sagindome import (
     AntennaConfig,
+    SampleConfig,
     Scenario,
     ScenarioSpec,
     SweepParameter,
@@ -472,6 +473,42 @@ class TestCountCommand:
                               '"min_elevation_deg": 10}')
         code, _, err = run_cli(["count", "--descriptor", str(descriptor)], capsys)
         assert code == 2 and "density" in err
+
+
+class TestOneBoundary:
+    """Every descriptor key is checked when the descriptor is parsed, so
+    ``coverage``, ``count`` and ``sample`` refuse a descriptor alike."""
+
+    @pytest.mark.parametrize("key, text, reason", [
+        ("density_per_km2", "1e400", "density_per_km2 must be finite and >= 0, got inf"),
+        ("rx_azimuth_deg", "1e400", "rx_azimuth_rad must be finite"),
+        ("rx_polar_deg", "1e400", "rx_polar_rad must be finite"),
+        ("seed", "-1", "seed must lie in [0, 2**64), got -1"),
+        ("seed", str(2 ** 64), f"seed must lie in [0, 2**64), got {2 ** 64}"),
+        ("seed", "1.5", "seed must be an integer, got 1.5"),
+    ], ids=["density-1e400", "azimuth-1e400", "polar-1e400", "seed-negative",
+            "seed-2**64", "seed-fraction"])
+    def test_same_line_on_every_command(self, key, text, reason, tmp_path, capsys):
+        # Raw JSON text: 1e400 reads as inf, which no Python value dumps to.
+        values = {"scenario": '"s2g"', "space_altitude_km": "600", "min_elevation_deg": "10",
+                  "density_per_km2": "5e-6", "seed": "42", key: text}
+        descriptor = tmp_path / "descriptor.json"
+        descriptor.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}")
+        target = tmp_path / "points.csv"
+        for argv in (["coverage"], ["count"], ["sample", "--output", str(target)]):
+            code, out, err = run_cli([*argv, "--descriptor", str(descriptor)], capsys)
+            assert (code, out, err) == (2, "", f"error: {reason}\n")
+        assert not target.exists()
+
+    def test_sample_builds_one_sample_config(self, s2g_descriptor, tmp_path, capsys,
+                                             monkeypatch):
+        built = []
+        post_init = SampleConfig.__post_init__
+        monkeypatch.setattr(SampleConfig, "__post_init__",
+                            lambda config: built.append(config) or post_init(config))
+        code, _, _ = run_cli(["sample", "--descriptor", s2g_descriptor,
+                              "--output", str(tmp_path / "points.csv")], capsys)
+        assert code == 0 and len(built) == 1
 
 
 class BrokenPipe:

@@ -1,6 +1,7 @@
 """Property tests: any descriptor over the known keys ends in exit 0 with strict
-JSON, and any sweep over hostile flags and grid bounds in exit 0 with CSV; or
-else in exit 2 with one ``error:`` line, never in a traceback."""
+JSON, on ``coverage``, ``count`` and ``sample`` alike, and any sweep over
+hostile flags and grid bounds in exit 0 with CSV; or else in exit 2 with one
+``error:`` line, never in a traceback."""
 
 import contextlib
 import io
@@ -67,14 +68,29 @@ def descriptor_path(tmp_path_factory):
     return tmp_path_factory.mktemp("descriptors") / "descriptor.json"
 
 
+# What ``count`` or ``sample`` may refuse on a descriptor ``coverage`` takes:
+# a sampling key it needs that the descriptor lacks, or a density whose
+# product with an area overflows or exceeds the sample cap.
+MISSING_KEY_LINES = ("error: descriptor is missing density_per_km2\n",
+                     "error: descriptor is missing seed\n")
+PRODUCT_PREFIXES = ("error: expected count density * area overflows",
+                    "error: full-sphere count 4*pi*r^2 * density overflows",
+                    "error: Poisson mean floor(density * area) must be <=")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=descriptors())
 def test_exit_code_and_output(descriptor_path, data):
     descriptor_path.write_text(json.dumps(data), encoding="utf-8")
-    for command in ("coverage", "count"):
+    points_path = descriptor_path.with_name("points.csv")
+    refusals = {}
+    for command in ("coverage", "count", "sample"):
+        argv = [command, "--descriptor", str(descriptor_path)]
+        if command == "sample":
+            argv += ["--output", str(points_path)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--descriptor", str(descriptor_path)])
+            code = main(argv)
         if code == 0:
             assert err.getvalue() == ""
             assert isinstance(json.loads(out.getvalue(), parse_constant=_reject_constant),
@@ -85,6 +101,15 @@ def test_exit_code_and_output(descriptor_path, data):
             lines = err.getvalue().splitlines(keepends=True)
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert lines[0].endswith("\n")
+            refusals[command] = lines[0]
+    # One boundary: the commands refuse a descriptor with the same line,
+    # unless the descriptor is whole and only what a command adds fails.
+    if "coverage" in refusals:
+        assert refusals == dict.fromkeys(("coverage", "count", "sample"),
+                                         refusals["coverage"])
+    else:
+        for line in refusals.values():
+            assert line in MISSING_KEY_LINES or line.startswith(PRODUCT_PREFIXES)
 
 
 # Float flag values and grid bounds: argparse refuses anything else with

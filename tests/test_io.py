@@ -99,25 +99,23 @@ class TestParseDescriptor:
         assert descriptor.spec.scenario is Scenario.S2G
         assert descriptor.spec.min_elevation_rad == pytest.approx(math.radians(10.0))
         assert descriptor.spec.space_altitude_km == 600.0
-        assert descriptor.density_per_km2 == 5e-6
-        assert descriptor.seed == 42
-        assert descriptor.mode is SampleMode.AREA_UNIFORM
-        assert descriptor.rx_azimuth_rad == 0.0 and descriptor.rx_polar_rad == 0.0
+        assert descriptor.sample == SampleConfig(density_per_km2=5e-6, seed=42)
+        assert descriptor.missing == ()
 
     def test_uplink_round_trip(self):
         descriptor = parse_descriptor(dict(G2S_DATA))
         antenna = descriptor.spec.antenna
         assert antenna.carrier_frequency_hz == 40e9
         assert antenna.reflector_diameter_m == 4.0
-        assert descriptor.density_per_km2 is None and descriptor.seed is None
+        assert descriptor.missing == ("density_per_km2", "seed")
 
     def test_receiver_angles_and_mode(self):
         data = dict(S2G_DATA, rx_azimuth_deg=90, rx_polar_deg=45,
                     mode="paper_faithful")
         descriptor = parse_descriptor(data)
-        assert descriptor.rx_azimuth_rad == pytest.approx(0.5 * math.pi)
-        assert descriptor.rx_polar_rad == pytest.approx(0.25 * math.pi)
-        assert descriptor.mode is SampleMode.PAPER_FAITHFUL
+        assert descriptor.sample.rx_azimuth_rad == pytest.approx(0.5 * math.pi)
+        assert descriptor.sample.rx_polar_rad == pytest.approx(0.25 * math.pi)
+        assert descriptor.sample.mode is SampleMode.PAPER_FAITHFUL
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(DescriptorError, match="unknown descriptor keys: bogus"):
@@ -148,19 +146,19 @@ class TestParseDescriptor:
             parse_descriptor({"space_altitude_km": 600})
 
     def test_type_checks(self):
-        with pytest.raises(DescriptorError, match="seed"):
+        with pytest.raises(InvalidParameterError, match="seed"):
             parse_descriptor(dict(S2G_DATA, seed=4.5))
-        with pytest.raises(DescriptorError, match="seed"):
+        with pytest.raises(InvalidParameterError, match="seed"):
             parse_descriptor(dict(S2G_DATA, seed=True))
         with pytest.raises(DescriptorError, match="min_elevation_deg"):
             parse_descriptor(dict(S2G_DATA, min_elevation_deg="ten"))
-        with pytest.raises(DescriptorError, match="mode"):
+        with pytest.raises(InvalidParameterError, match="mode"):
             parse_descriptor(dict(S2G_DATA, mode="freeform"))
         with pytest.raises(DescriptorError):
             parse_descriptor(["not", "a", "dict"])
 
     def test_negative_density_rejected(self):
-        with pytest.raises(DescriptorError, match="density_per_km2"):
+        with pytest.raises(InvalidParameterError, match="density_per_km2"):
             parse_descriptor(dict(S2G_DATA, density_per_km2=-1.0))
 
     def test_earth_radius_precedence(self):
