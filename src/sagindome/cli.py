@@ -163,7 +163,7 @@ def _report_failed_rows(sweep: "SweepTable") -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweeps import grid_values, run_sweep, value_error
+    from .sweeps import grid_values, row_check, run_sweep
 
     parameter = SweepParameter(args.param)
     scale = SweepScale(args.scale)
@@ -177,15 +177,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         check_grid(low, high, args.steps, scale)
     flags = _flags_to_data(args)
     # The swept parameter's flag, given or not, is set to the first grid
-    # value that passes the sweep's per-row value check, so an invalid first
-    # grid point becomes a nan row like any other.  Without such a value the
-    # scenario is parsed at the grid start and its error ends the command.
+    # value that passes the row check, so an invalid first grid point
+    # becomes a nan row like any other.  Without such a value the scenario
+    # is parsed at the grid start and its error ends the command.
     # Inapplicable parameters are left for SweepSpec.
     if "scenario" in flags and parameter_applicable(parameter, Scenario(flags["scenario"])):
-        reject = value_error(parameter, flags.get("air_altitude_km"),
-                             flags.get("space_altitude_km"))
-        valid = (value for value in grid_values(low, high, args.steps, scale)
-                 if reject(value) is None)
+        passes = row_check(parameter, flags.get("air_altitude_km"),
+                           flags.get("space_altitude_km"))
+        valid = filter(passes, grid_values(low, high, args.steps, scale))
         flags[_SWEEP_PARAM_KEYS[parameter]] = to_flag(next(valid, low))
     descriptor = parse_descriptor(flags)
     sweep = SweepSpec(

@@ -30,23 +30,11 @@ LIGHT_SPEED_M_PER_S = 2.998e8
 CLAMP_TOLERANCE = 1e-12
 
 
-# Texts of checks that ``sweeps.run_sweep`` also applies to each swept value.
-def _positive_error(name: str, value: float) -> str | None:
-    """The text ``_require_positive`` raises for ``value``, or None."""
-    if not value > 0.0:
-        return f"{name} must be > 0, got {value!r}"
-    if value == math.inf:
-        return f"{name} must be finite, got {value!r}"
-    return None
-
-
-def _elevation_text(name: str, value: float) -> str:
-    return f"{name} must lie in [0, pi/2], got {value!r}"
-
-
 def _require_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise InvalidParameterError(_positive_error(name, value))
+    if not value > 0.0:
+        raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+    if value == math.inf:
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
 def _require_finite_nonnegative(name: str, value: float) -> None:
@@ -78,7 +66,8 @@ def _check_downlink_domain(elevation_rad: float, r_t_km: float, r_r_km: float) -
         raise InvalidGeometryError(
             f"downlink requires r_r_km < r_t_km, got r_t_km={r_t_km!r}, r_r_km={r_r_km!r}")
     if not 0.0 <= elevation_rad <= 0.5 * math.pi:
-        raise InvalidParameterError(_elevation_text("elevation_rad", elevation_rad))
+        raise InvalidParameterError(
+            f"elevation_rad must lie in [0, pi/2], got {elevation_rad!r}")
 
 
 def _clamp_cosine(value: float, what: str) -> float:

@@ -8,6 +8,7 @@ The transmitter radius is always the transmitting layer's radius.  A sweep
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -17,11 +18,10 @@ from .geometry import (
     DEFAULT_EARTH_RADIUS_KM,
     AntennaConfig,
     DomeGeometry,
+    _beamwidth,
     _dome,
-    _elevation_text,
     _require_finite_nonnegative,
     _require_positive,
-    half_power_beamwidth,
 )
 
 
@@ -47,14 +47,6 @@ class Scenario(Enum):
     S2G = "s2g"
 
     @property
-    def transmitter_layer(self) -> Layer:
-        return _LAYER_PAIRS[self][0]
-
-    @property
-    def receiver_layer(self) -> Layer:
-        return _LAYER_PAIRS[self][1]
-
-    @property
     def direction(self) -> Direction:
         if self in (Scenario.G2A, Scenario.A2S, Scenario.G2S):
             return Direction.UPLINK
@@ -73,6 +65,11 @@ _LAYER_PAIRS = {
     Scenario.S2A: (Layer.SPACE, Layer.AIR),
     Scenario.S2G: (Layer.SPACE, Layer.GROUND),
 }
+
+# Built once: each scenario's transmitter and receiver layer as an index in
+# Layer's order (ground, air, space), which ``_radii`` reads on every call.
+_LAYER_INDEX = {scenario: tuple(list(Layer).index(layer) for layer in pair)
+                for scenario, pair in _LAYER_PAIRS.items()}
 
 
 def inputs(scenario: Scenario) -> MappingProxyType[str, bool]:
@@ -99,25 +96,15 @@ _INPUTS = {
 }
 
 
-# Scenario family (by the lower endpoint of the link) selects the carrier
-# frequency range: ground-air links use the low band, links touching space
-# the satellite band.
-_FREQUENCY_FAMILY = {
-    Scenario.G2A: 1, Scenario.A2G: 1,
-    Scenario.A2S: 2, Scenario.S2A: 2,
-    Scenario.G2S: 3, Scenario.S2G: 3,
+# Ground-air links use the low carrier band, links touching space the
+# satellite band.
+FREQUENCY_RANGE_HZ = {
+    scenario: (2e9, 40e9) if Layer.SPACE in scenario.layers else (300e6, 2.4e9)
+    for scenario in Scenario
 }
-
-FREQUENCY_RANGE_HZ = {1: (300e6, 2.4e9), 2: (2e9, 40e9), 3: (2e9, 40e9)}
 AIR_ALTITUDE_RANGE_KM = (1.0, 50.0)
 SPACE_ALTITUDE_RANGE_KM = (500.0, 35786.0)
 ELEVATION_RANGE_RAD = (math.radians(5.0), math.radians(30.0))
-
-
-def _altitude_order_text(air: str, space: str) -> str:
-    """The text of ScenarioSpec's altitude-order check, from the two altitudes'
-    reprs, so that a sweep formats its fixed altitude once."""
-    return f"air_altitude_km={air} must be below space_altitude_km={space}"
 
 
 @dataclass(frozen=True)
@@ -146,17 +133,40 @@ class ScenarioSpec:
                 raise InvalidParameterError(
                     f"{sc.value}: {field} is required" if required
                     else f"{sc.value}: {field} is not applicable to this scenario")
-        elevation = self.min_elevation_rad
-        if elevation is not None and not 0.0 <= elevation <= 0.5 * math.pi:
-            raise InvalidParameterError(_elevation_text("min_elevation_rad", elevation))
-        for name in ("air_altitude_km", "space_altitude_km"):
-            value = getattr(self, name)
-            if value is not None:
-                _require_positive(name, value)
-        if (self.air_altitude_km is not None and self.space_altitude_km is not None
-                and self.air_altitude_km >= self.space_altitude_km):
+        _check_values(*_values(self))
+
+
+# The input name of each of a scenario's values, in the order of ``_values``.
+_VALUE_NAMES = ("carrier_frequency_hz", "min_elevation_rad", "air_altitude_km",
+                "space_altitude_km")
+
+
+def _values(spec: ScenarioSpec) -> list:
+    """The values a scenario resolves from, in the field order of ``inputs``:
+    the antenna's carrier frequency, the minimum elevation, the air and the
+    space altitude, each None where the scenario lacks it."""
+    antenna = spec.antenna
+    return [None if antenna is None else antenna.carrier_frequency_hz,
+            spec.min_elevation_rad, spec.air_altitude_km, spec.space_altitude_km]
+
+
+def _check_values(frequency: float | None, elevation: float | None, air: float | None,
+                  space: float | None) -> None:
+    """The checks of a scenario's values (``_values``), in ``ScenarioSpec``'s
+    order: the one statement of which values a scenario accepts, for a spec
+    and for every sweep row."""
+    if frequency is not None:
+        _require_positive("carrier_frequency_hz", frequency)
+    if elevation is not None and not 0.0 <= elevation <= 0.5 * math.pi:
+        raise InvalidParameterError(
+            f"min_elevation_rad must lie in [0, pi/2], got {elevation!r}")
+    if air is not None:
+        _require_positive("air_altitude_km", air)
+    if space is not None:
+        _require_positive("space_altitude_km", space)
+        if air is not None and air >= space:
             raise InvalidGeometryError(
-                _altitude_order_text(repr(self.air_altitude_km), repr(self.space_altitude_km)))
+                f"air_altitude_km={air!r} must be below space_altitude_km={space!r}")
 
 
 @dataclass(frozen=True)
@@ -169,19 +179,21 @@ class RangeViolation:
     high: float
 
 
-def _layer_radius_km(spec: ScenarioSpec, layer: Layer) -> float:
-    base = spec.earth_radius_km
-    if layer is Layer.GROUND:
-        return base
-    if layer is Layer.AIR:
-        return base + spec.air_altitude_km
-    return base + spec.space_altitude_km
+def _radii(scenario: Scenario, earth_radius_km: float) -> Callable[..., tuple[float, float]]:
+    """(transmitter radius, receiver radius) in km as a function of the air
+    and the space altitude: the Earth radius plus each layer's altitude."""
+    transmitter, receiver = _LAYER_INDEX[scenario]
+
+    def radii(air: float | None, space: float | None) -> tuple[float, float]:
+        altitudes = (0.0, air, space)   # in Layer's order
+        return earth_radius_km + altitudes[transmitter], earth_radius_km + altitudes[receiver]
+    return radii
 
 
 def resolve_radii(spec: ScenarioSpec) -> tuple[float, float]:
     """Resolve (transmitter radius, receiver radius), both in km."""
-    return (_layer_radius_km(spec, spec.scenario.transmitter_layer),
-            _layer_radius_km(spec, spec.scenario.receiver_layer))
+    return _radii(spec.scenario, spec.earth_radius_km)(spec.air_altitude_km,
+                                                       spec.space_altitude_km)
 
 
 def validate(spec: ScenarioSpec) -> tuple[RangeViolation, ...]:
@@ -190,30 +202,17 @@ def validate(spec: ScenarioSpec) -> tuple[RangeViolation, ...]:
     Violations are warnings, never hard errors: sweeps and literature
     reproductions routinely evaluate at range edges and beyond.
     """
-    found: list[RangeViolation] = []
-
-    def check(parameter: str, value: float, low: float, high: float) -> None:
-        if not low <= value <= high:
-            found.append(RangeViolation(parameter, value, low, high))
-
-    if spec.antenna is not None:
-        low, high = FREQUENCY_RANGE_HZ[_FREQUENCY_FAMILY[spec.scenario]]
-        check("carrier_frequency_hz", spec.antenna.carrier_frequency_hz, low, high)
-    if spec.min_elevation_rad is not None:
-        check("min_elevation_rad", spec.min_elevation_rad, *ELEVATION_RANGE_RAD)
-    if spec.air_altitude_km is not None:
-        check("air_altitude_km", spec.air_altitude_km, *AIR_ALTITUDE_RANGE_KM)
-    if spec.space_altitude_km is not None:
-        check("space_altitude_km", spec.space_altitude_km, *SPACE_ALTITUDE_RANGE_KM)
-    return tuple(found)
+    ranges = (FREQUENCY_RANGE_HZ[spec.scenario], ELEVATION_RANGE_RAD, AIR_ALTITUDE_RANGE_KM,
+              SPACE_ALTITUDE_RANGE_KM)
+    return tuple(RangeViolation(name, value, low, high)
+                 for name, value, (low, high) in zip(_VALUE_NAMES, _values(spec), ranges)
+                 if value is not None and not low <= value <= high)
 
 
 def coverage(spec: ScenarioSpec) -> DomeGeometry:
     """Resolve the scenario end to end into its coverage dome."""
     r_t, r_r = resolve_radii(spec)
-    uplink = spec.scenario.direction is Direction.UPLINK
-    angle = half_power_beamwidth(spec.antenna) if uplink else spec.min_elevation_rad
-    phi, area, tangent_limited = _dome(uplink, r_t, r_r, angle)
+    phi, area, tangent_limited = _evaluator(spec)(_values(spec))
     return DomeGeometry(
         transmitter_radius_km=r_t,
         receiver_radius_km=r_r,
@@ -222,6 +221,36 @@ def coverage(spec: ScenarioSpec) -> DomeGeometry:
         area_km2=area,
         tangent_limited=tangent_limited,
     )
+
+
+def _evaluator(spec: ScenarioSpec) -> Callable[[list], tuple[float, float, bool]]:
+    """The closed forms behind ``coverage`` of the spec's scenario, Earth
+    radius and antenna, as a function of values that ``_check_values``
+    passed: the kernel's (vertex angle, cap area, tangent_limited).
+
+    An uplink's beamwidth is formed from the values' carrier frequency.  The
+    rounding of a radius is monotonic, so valid altitudes can break the
+    radius order only by rounding to equal radii; that is refused in the
+    names of the inputs, not of the radii.  Radii that both overflowed to
+    inf are left to the kernel, which names them as not finite.
+    """
+    earth, antenna = spec.earth_radius_km, spec.antenna
+    uplink = spec.scenario.direction is Direction.UPLINK
+    radii = _radii(spec.scenario, earth)
+
+    def dome(values: list) -> tuple[float, float, bool]:
+        frequency, elevation, air, space = values
+        r_t, r_r = radii(air, space)
+        angle = (_beamwidth(antenna.illumination_coefficient, frequency,
+                            antenna.reflector_diameter_m) if uplink else elevation)
+        if r_t == r_r < math.inf:
+            altitudes = " and ".join(f"{name}={value!r}" for name, value
+                                     in zip(_VALUE_NAMES[2:], values[2:]) if value is not None)
+            raise InvalidGeometryError(
+                f"transmitter and receiver radii round to the same value: "
+                f"earth_radius_km={earth!r} with {altitudes}")
+        return _dome(uplink, r_t, r_r, angle)
+    return dome
 
 
 # Largest grid a sweep may ask for.  A CLI sweep at the cap peaked at 50 MB
@@ -295,6 +324,12 @@ def check_grid(low: float, high: float, steps: int, scale: SweepScale) -> None:
 def parameter_applicable(parameter: SweepParameter, scenario: Scenario) -> bool:
     """Whether a sweep parameter exists at all for the given scenario."""
     return inputs(scenario)[_PARAMETER_FIELDS[parameter]]
+
+
+def _slot(parameter: SweepParameter) -> int:
+    """The index of a sweep parameter's value among a scenario's values
+    (``_values``): its field's place in ``inputs``."""
+    return tuple(_INPUTS[Scenario.G2A]).index(_PARAMETER_FIELDS[parameter])
 
 
 # The ScenarioSpec field that holds each sweep parameter.

@@ -1,30 +1,28 @@
 """Parameter sweeps over scenario geometry, one grid point at a time.
 
-Each grid value gets the checks ``ScenarioSpec`` and ``AntennaConfig`` apply
-to the swept value, then the closed-form kernel behind ``coverage``
-(``geometry._dome``), so a row is exactly ``coverage`` at its grid value, or
-the text of the error it raises.  No dataclass is built per row, and no
-numpy is needed.
+A row is the base scenario's values with the swept one set to the grid
+value, put through ``ScenarioSpec``'s own value check
+(``scenarios._check_values``) and then ``coverage``'s own evaluator
+(``scenarios._evaluator``).  So a row is exactly ``coverage`` at its grid
+value, or the text of the error it raises.  No dataclass is built per row,
+and no numpy is needed.
 """
 
 import math
 from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 
 from .errors import SaginDomeError
-from .geometry import _beamwidth, _dome, _elevation_text, _positive_error
 from .scenarios import (
-    Direction,
-    Layer,
-    ScenarioSpec,
     SweepParameter,
     SweepScale,
     SweepSpec,
-    _altitude_order_text,
-    resolve_radii,
+    _check_values,
+    _evaluator,
+    _slot,
+    _values,
 )
 
 
@@ -65,77 +63,41 @@ def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> Itera
     yield high
 
 
-def value_error(parameter: SweepParameter, air_altitude_km: float | None,
-                space_altitude_km: float | None) -> Callable[[float], str | None]:
-    """The checks ``ScenarioSpec`` and ``AntennaConfig`` apply to a swept
-    value (library units), in their order, as a function from the value to
-    the text of the first that fails, or None: positivity and finiteness, or
-    the elevation range; then the order against the other layer's fixed
-    altitude, which is None for a layer the scenario lacks."""
-    if parameter is SweepParameter.MIN_ELEVATION:
-        return lambda value: (None if 0.0 <= value <= 0.5 * math.pi
-                              else _elevation_text("min_elevation_rad", value))
-    if parameter is SweepParameter.CARRIER_FREQUENCY:
-        return partial(_positive_error, "carrier_frequency_hz")
-    air = parameter is SweepParameter.AIR_ALTITUDE
-    name = "air_altitude_km" if air else "space_altitude_km"
-    fixed = space_altitude_km if air else air_altitude_km
-    fixed_repr = repr(fixed)
+def row_check(parameter: SweepParameter, air_altitude_km: float | None,
+              space_altitude_km: float | None) -> Callable[[float], bool]:
+    """Whether a swept value (library units) passes ``scenarios._check_values``
+    given only itself and, for an altitude, the other layer's fixed altitude
+    (None for a layer the scenario lacks).  The CLI picks a sweep's base value
+    with it before any scenario exists; every other fixed value is checked
+    when the base is built."""
+    slot = _slot(parameter)
+    altitude = parameter in (SweepParameter.AIR_ALTITUDE, SweepParameter.SPACE_ALTITUDE)
+    values = [None, None, air_altitude_km, space_altitude_km] if altitude else [None] * 4
 
-    def error(value: float) -> str | None:
-        reason = _positive_error(name, value)
-        if reason is not None or fixed is None:
-            return reason
-        if air and value >= fixed:
-            return _altitude_order_text(repr(value), fixed_repr)
-        if not air and fixed >= value:
-            return _altitude_order_text(fixed_repr, repr(value))
-        return None
-    return error
-
-
-def _dome_at(base: ScenarioSpec,
-             parameter: SweepParameter) -> Callable[[float], tuple[float, float, bool]]:
-    """The kernel's (phi, area, tangent_limited) of ``coverage`` of the base
-    scenario with the swept parameter set to a value ``value_error`` passes.
-    As in ``coverage``, an uplink's beamwidth is formed on each row, from the
-    swept or the fixed carrier frequency."""
-    scenario, earth, antenna = base.scenario, base.earth_radius_km, base.antenna
-    uplink = scenario.direction is Direction.UPLINK
-    r_t, r_r = resolve_radii(base)
-    layer = {SweepParameter.AIR_ALTITUDE: Layer.AIR,
-             SweepParameter.SPACE_ALTITUDE: Layer.SPACE}.get(parameter)
-    at_t, at_r = scenario.transmitter_layer is layer, scenario.receiver_layer is layer
-    fixed = antenna.carrier_frequency_hz if uplink else base.min_elevation_rad
-
-    def dome(value: float) -> tuple[float, float, bool]:
-        angle = value if layer is None else fixed
-        if uplink:
-            angle = _beamwidth(antenna.illumination_coefficient, angle,
-                               antenna.reflector_diameter_m)
-        return _dome(uplink, earth + value if at_t else r_t, earth + value if at_r else r_r,
-                     angle)
-    return dome
+    def passes(value: float) -> bool:
+        values[slot] = value
+        try:
+            _check_values(*values)
+        except SaginDomeError:
+            return False
+        return True
+    return passes
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate coverage at each grid point, in grid order."""
-    reject = value_error(spec.parameter, spec.base.air_altitude_km,
-                         spec.base.space_altitude_km)
-    dome_at = _dome_at(spec.base, spec.parameter)
-    values = array("d", grid_values(spec.low, spec.high, spec.steps, spec.scale))
+    values, slot, dome = _values(spec.base), _slot(spec.parameter), _evaluator(spec.base)
+    grid = array("d", grid_values(spec.low, spec.high, spec.steps, spec.scale))
     phi, area, tangent, errors = array("d"), array("d"), [], {}
-    for index, value in enumerate(values):
-        reason = reject(value)
-        if reason is None:
-            try:
-                row = dome_at(value)
-            except SaginDomeError as exc:
-                reason = str(exc)
-        if reason is not None:
-            errors[index] = reason
+    for index, value in enumerate(grid):
+        values[slot] = value
+        try:
+            _check_values(*values)
+            row = dome(values)
+        except SaginDomeError as exc:
+            errors[index] = str(exc)
             row = math.nan, math.nan, False
         phi.append(row[0])
         area.append(row[1])
         tangent.append(row[2])
-    return SweepTable(values, phi, area, tangent, errors)
+    return SweepTable(grid, phi, area, tangent, errors)

@@ -173,6 +173,30 @@ class TestCoverageCommand:
         assert code == 2 and out == ""
         assert err == f"error: {UNDERFLOW_REASON}\n"
 
+    @pytest.mark.parametrize("descriptor,reason", [
+        # An altitude lost in rounding against a huge Earth radius, and
+        # against the default one.
+        ({"scenario": "a2g", "air_altitude_km": 5, "min_elevation_deg": 10,
+          "earth_radius_km": 7.205759403792794e+16},
+         "earth_radius_km=7.205759403792794e+16 with air_altitude_km=5.0"),
+        ({"scenario": "a2g", "air_altitude_km": 1e-13, "min_elevation_deg": 10},
+         "earth_radius_km=6371.0 with air_altitude_km=1e-13"),
+        # Two altitudes that round to the same radius.
+        ({"scenario": "a2s", "air_altitude_km": 3, "space_altitude_km": 4.5,
+          "earth_radius_km": 1e16, "carrier_frequency_hz": 2e9,
+          "illumination_coefficient": 70, "reflector_diameter_m": 4},
+         "earth_radius_km=1e+16 with air_altitude_km=3.0 and space_altitude_km=4.5"),
+    ])
+    def test_equal_radii_named_by_their_inputs(self, descriptor, reason, tmp_path, capsys):
+        expected = (2, "", "error: transmitter and receiver radii round to the same "
+                           f"value: {reason}\n")
+        path = tmp_path / "equal.json"
+        path.write_text(json.dumps(descriptor))
+        assert run_cli(["coverage", "--descriptor", str(path)], capsys) == expected
+        flags = [text for key, value in descriptor.items()
+                 for text in ("--" + key.replace("_", "-"), str(value))]
+        assert run_cli(["coverage", *flags], capsys) == expected
+
     def test_descriptor_and_flags_conflict(self, s2g_descriptor, capsys):
         code, _, err = run_cli(["coverage", "--descriptor", s2g_descriptor,
                                 "--scenario", "s2g"], capsys)
@@ -265,14 +289,27 @@ class TestSweepCommand:
         assert err == ("error: air_altitude_km=10.0 must be below "
                        "space_altitude_km=1.0\n")
 
-    def test_invalid_fixed_flag_exit_2(self, capsys):
-        code, _, err = run_cli([
-            "sweep", "--scenario", "g2s", "--space-altitude-km", "20000",
-            "--illumination-coefficient", "70", "--reflector-diameter-m", "-4",
-            "--param", "carrier_frequency", "--from", "2e9", "--to", "40e9",
-            "--steps", "3"], capsys)
-        assert code == 2
-        assert err == "error: reflector_diameter_m must be > 0, got -4.0\n"
+    @pytest.mark.parametrize("argv,reason", [
+        (["--scenario", "g2s", "--space-altitude-km", "20000",
+          "--illumination-coefficient", "70", "--reflector-diameter-m", "-4",
+          "--param", "carrier_frequency", "--from", "2e9", "--to", "40e9"],
+         "reflector_diameter_m must be > 0, got -4.0"),
+        # The base's frequency is the first valid grid value, so the fixed
+        # altitude is named, not the invalid grid start.
+        (["--scenario", "a2s", "--air-altitude-km", "10", "--space-altitude-km", "-600",
+          "--illumination-coefficient", "70", "--reflector-diameter-m", "4",
+          "--param", "carrier_frequency", "--from", "0", "--to", "40e9"],
+         "space_altitude_km must be > 0, got -600.0"),
+        # Likewise the base's elevation, so the altitude order is named.
+        (["--scenario", "s2a", "--air-altitude-km", "700", "--space-altitude-km", "600",
+          "--min-elevation-deg", "10", "--param", "min_elevation", "--from", "-10",
+          "--to", "30"],
+         "air_altitude_km=700.0 must be below space_altitude_km=600.0"),
+    ])
+    def test_invalid_fixed_flag_exit_2(self, argv, reason, capsys):
+        code, out, err = run_cli(["sweep", *argv, "--steps", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {reason}\n"
 
     @pytest.mark.parametrize("steps", [str(MAX_SWEEP_STEPS + 1), "10" + "0" * 15])
     @pytest.mark.parametrize("scale", ["linear", "log"])
@@ -307,6 +344,17 @@ class TestSweepCommand:
         assert err == (f"warning: 7 of 22 sweep rows failed; first at "
                        f"param_value=300000000: {failed[0]}\n")
         assert failed[0].startswith("beamwidth_rad must lie in (0, pi)")
+
+    def test_equal_radii_row_named_by_its_inputs(self, capsys):
+        code, out, err = run_cli([
+            "sweep", "--scenario", "a2g", "--min-elevation-deg", "10",
+            "--param", "air_altitude", "--from", "1e-15", "--to", "10", "--steps", "3"], capsys)
+        assert code == 0
+        assert out.split("\n")[1] == "1.0000000000000001e-15,nan,nan,false"
+        assert err == ("warning: 1 of 3 sweep rows failed; first at "
+                       "param_value=1.0000000000000001e-15: transmitter and receiver radii "
+                       "round to the same value: earth_radius_km=6371.0 with "
+                       "air_altitude_km=1e-15\n")
 
     def test_underflowing_beamwidth_denominator_is_a_nan_row(self, capsys):
         code, out, err = run_cli([
