@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -61,6 +62,19 @@ _SWEEP_PARAM_KEYS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads a token which starts like a negative
+    number (``-1e-3``, ``-.5``, ``-inf``, ``-nan``) as a value, not as an
+    option, so every float flag takes each negative value ``float`` reads.
+    Stock argparse reads only plain decimals such as ``-5`` as values.  The
+    subcommands' parsers are of this class too: ``add_parser`` builds them
+    with the class of the parser it belongs to."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", choices=sorted(s.value for s in Scenario))
     for key in _SCENARIO_KEYS[1:]:
@@ -68,7 +82,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sagindome",
         description="Spherical-dome coverage geometry and seeded transmitter "
                     "sampling for cross-layer space-air-ground links.")

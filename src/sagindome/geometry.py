@@ -208,29 +208,6 @@ def cap_area(r_t_km: float, vertex_angle_rad: float) -> float:
     return 4.0 * math.pi * r_t_km * r_t_km * half_sin * half_sin
 
 
-def _dome(uplink: bool, r_t_km: float, r_r_km: float,
-          angle_rad: float) -> tuple[float, float, bool]:
-    """(vertex angle, cap area, tangent_limited) of a dome from resolved
-    floats: the radii and the beamwidth of an uplink or the minimum elevation
-    of a downlink.
-
-    The one evaluation of the closed forms behind ``coverage`` and every
-    sweep row.  It raises what ``coverage`` raises, in the same order: the
-    domain checks, the clamps, then the checks of ``cap_area`` and of
-    ``DomeGeometry``.
-    """
-    if uplink:
-        phi, tangent_limited = vertex_angle_uplink(angle_rad, r_t_km, r_r_km)
-    else:
-        phi, tangent_limited = vertex_angle_downlink(angle_rad, r_t_km, r_r_km), False
-    area = cap_area(r_t_km, phi)
-    if not (r_r_km < math.inf and area < math.inf):
-        # Past the checks above, only these two DomeGeometry checks can fail.
-        _require_positive("receiver_radius_km", r_r_km)
-        _require_finite_nonnegative("area_km2", area)
-    return phi, area, tangent_limited
-
-
 def vertex_angle_uplink_oracle(beamwidth_rad: float, r_t_km: float,
                                r_r_km: float) -> float:
     """Uplink vertex angle via the law-of-sines difference form.

@@ -8,7 +8,6 @@ The transmitter radius is always the transmitting layer's radius.  A sweep
 """
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -19,9 +18,11 @@ from .geometry import (
     AntennaConfig,
     DomeGeometry,
     _beamwidth,
-    _dome,
     _require_finite_nonnegative,
     _require_positive,
+    cap_area,
+    vertex_angle_downlink,
+    vertex_angle_uplink,
 )
 
 
@@ -65,11 +66,6 @@ _LAYER_PAIRS = {
     Scenario.S2A: (Layer.SPACE, Layer.AIR),
     Scenario.S2G: (Layer.SPACE, Layer.GROUND),
 }
-
-# Built once: each scenario's transmitter and receiver layer as an index in
-# Layer's order (ground, air, space), which ``_radii`` reads on every call.
-_LAYER_INDEX = {scenario: tuple(list(Layer).index(layer) for layer in pair)
-                for scenario, pair in _LAYER_PAIRS.items()}
 
 
 def inputs(scenario: Scenario) -> MappingProxyType[str, bool]:
@@ -179,21 +175,23 @@ class RangeViolation:
     high: float
 
 
-def _radii(scenario: Scenario, earth_radius_km: float) -> Callable[..., tuple[float, float]]:
-    """(transmitter radius, receiver radius) in km as a function of the air
-    and the space altitude: the Earth radius plus each layer's altitude."""
-    transmitter, receiver = _LAYER_INDEX[scenario]
-
-    def radii(air: float | None, space: float | None) -> tuple[float, float]:
-        altitudes = (0.0, air, space)   # in Layer's order
-        return earth_radius_km + altitudes[transmitter], earth_radius_km + altitudes[receiver]
-    return radii
+def _layer_radii(earth_radius_km: float, uplink: bool, air: float | None,
+                 space: float | None) -> tuple[float, float]:
+    """(transmitter radius, receiver radius) in km: the Earth radius plus the
+    altitude of each of the link's two layers.  A scenario has the altitude
+    of each layer it touches and of no other (``inputs``), so its altitudes
+    are those of the lower and the upper layer (the ground's is 0), and an
+    uplink transmits from the lower one."""
+    lower = 0.0 if air is None or space is None else air
+    upper = air if space is None else space
+    lower, upper = earth_radius_km + lower, earth_radius_km + upper
+    return (lower, upper) if uplink else (upper, lower)
 
 
 def resolve_radii(spec: ScenarioSpec) -> tuple[float, float]:
     """Resolve (transmitter radius, receiver radius), both in km."""
-    return _radii(spec.scenario, spec.earth_radius_km)(spec.air_altitude_km,
-                                                       spec.space_altitude_km)
+    return _layer_radii(spec.earth_radius_km, spec.scenario.direction is Direction.UPLINK,
+                        spec.air_altitude_km, spec.space_altitude_km)
 
 
 def validate(spec: ScenarioSpec) -> tuple[RangeViolation, ...]:
@@ -211,8 +209,7 @@ def validate(spec: ScenarioSpec) -> tuple[RangeViolation, ...]:
 
 def coverage(spec: ScenarioSpec) -> DomeGeometry:
     """Resolve the scenario end to end into its coverage dome."""
-    r_t, r_r = resolve_radii(spec)
-    phi, area, tangent_limited = _evaluator(spec)(_values(spec))
+    r_t, r_r, phi, area, tangent_limited = _resolve(spec, _values(spec))
     return DomeGeometry(
         transmitter_radius_km=r_t,
         receiver_radius_km=r_r,
@@ -223,34 +220,42 @@ def coverage(spec: ScenarioSpec) -> DomeGeometry:
     )
 
 
-def _evaluator(spec: ScenarioSpec) -> Callable[[list], tuple[float, float, bool]]:
-    """The closed forms behind ``coverage`` of the spec's scenario, Earth
-    radius and antenna, as a function of values that ``_check_values``
-    passed: the kernel's (vertex angle, cap area, tangent_limited).
+def _resolve(spec: ScenarioSpec, values: list) -> tuple[float, float, float, float, bool]:
+    """``coverage`` of the spec's scenario, Earth radius and antenna at values
+    (``_values``) that ``_check_values`` passed: the (transmitter radius,
+    receiver radius, vertex angle, cap area, tangent_limited) of its dome.
 
-    An uplink's beamwidth is formed from the values' carrier frequency.  The
-    rounding of a radius is monotonic, so valid altitudes can break the
-    radius order only by rounding to equal radii; that is refused in the
-    names of the inputs, not of the radii.  Radii that both overflowed to
-    inf are left to the kernel, which names them as not finite.
+    It raises what ``coverage`` raises, in the same order: an uplink's
+    beamwidth, formed from the values' carrier frequency; radii that round
+    to the same value; the closed forms' domain checks and clamps; then the
+    checks of ``cap_area`` and of ``DomeGeometry``.  The rounding of a
+    radius is monotonic, so valid altitudes can break the radius order only
+    by rounding to equal radii; that is refused in the names of the inputs,
+    not of the radii.  Radii that both overflowed to inf are left to the
+    closed forms, which name them as not finite.
     """
+    frequency, elevation, air, space = values
     earth, antenna = spec.earth_radius_km, spec.antenna
-    uplink = spec.scenario.direction is Direction.UPLINK
-    radii = _radii(spec.scenario, earth)
-
-    def dome(values: list) -> tuple[float, float, bool]:
-        frequency, elevation, air, space = values
-        r_t, r_r = radii(air, space)
-        angle = (_beamwidth(antenna.illumination_coefficient, frequency,
-                            antenna.reflector_diameter_m) if uplink else elevation)
-        if r_t == r_r < math.inf:
-            altitudes = " and ".join(f"{name}={value!r}" for name, value
-                                     in zip(_VALUE_NAMES[2:], values[2:]) if value is not None)
-            raise InvalidGeometryError(
-                f"transmitter and receiver radii round to the same value: "
-                f"earth_radius_km={earth!r} with {altitudes}")
-        return _dome(uplink, r_t, r_r, angle)
-    return dome
+    # Only an uplink has an antenna (``inputs``), and its beamwidth sets the cap.
+    r_t, r_r = _layer_radii(earth, antenna is not None, air, space)
+    angle = (elevation if antenna is None else
+             _beamwidth(antenna.illumination_coefficient, frequency, antenna.reflector_diameter_m))
+    if r_t == r_r < math.inf:
+        altitudes = " and ".join(f"{name}={value!r}" for name, value
+                                 in zip(_VALUE_NAMES[2:], values[2:]) if value is not None)
+        raise InvalidGeometryError(
+            f"transmitter and receiver radii round to the same value: "
+            f"earth_radius_km={earth!r} with {altitudes}")
+    if antenna is None:
+        phi, tangent_limited = vertex_angle_downlink(angle, r_t, r_r), False
+    else:
+        phi, tangent_limited = vertex_angle_uplink(angle, r_t, r_r)
+    area = cap_area(r_t, phi)
+    if not (r_r < math.inf and area < math.inf):
+        # Past the checks above, only these two DomeGeometry checks can fail.
+        _require_positive("receiver_radius_km", r_r)
+        _require_finite_nonnegative("area_km2", area)
+    return r_t, r_r, phi, area, tangent_limited
 
 
 # Largest grid a sweep may ask for.  A CLI sweep at the cap peaked at 50 MB

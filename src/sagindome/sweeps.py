@@ -2,10 +2,10 @@
 
 A row is the base scenario's values with the swept one set to the grid
 value, put through ``ScenarioSpec``'s own value check
-(``scenarios._check_values``) and then ``coverage``'s own evaluator
-(``scenarios._evaluator``).  So a row is exactly ``coverage`` at its grid
-value, or the text of the error it raises.  No dataclass is built per row,
-and no numpy is needed.
+(``scenarios._check_values``) and then the function ``coverage`` resolves
+its dome with (``scenarios._resolve``).  So a row is exactly ``coverage``
+at its grid value, or the text of the error it raises.  No dataclass is
+built per row, and no numpy is needed.
 """
 
 import math
@@ -20,7 +20,7 @@ from .scenarios import (
     SweepScale,
     SweepSpec,
     _check_values,
-    _evaluator,
+    _resolve,
     _slot,
     _values,
 )
@@ -86,18 +86,18 @@ def row_check(parameter: SweepParameter, air_altitude_km: float | None,
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate coverage at each grid point, in grid order."""
-    values, slot, dome = _values(spec.base), _slot(spec.parameter), _evaluator(spec.base)
+    base, values, slot = spec.base, _values(spec.base), _slot(spec.parameter)
     grid = array("d", grid_values(spec.low, spec.high, spec.steps, spec.scale))
     phi, area, tangent, errors = array("d"), array("d"), [], {}
     for index, value in enumerate(grid):
         values[slot] = value
         try:
             _check_values(*values)
-            row = dome(values)
+            row = _resolve(base, values)
         except SaginDomeError as exc:
             errors[index] = str(exc)
-            row = math.nan, math.nan, False
-        phi.append(row[0])
-        area.append(row[1])
-        tangent.append(row[2])
+            row = math.nan, math.nan, math.nan, math.nan, False
+        phi.append(row[2])
+        area.append(row[3])
+        tangent.append(row[4])
     return SweepTable(grid, phi, area, tangent, errors)

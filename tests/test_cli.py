@@ -523,6 +523,33 @@ class TestCountCommand:
         assert code == 2 and "density" in err
 
 
+class TestNegativeFloatValues:
+    """A float flag takes every negative value ``float`` reads, not only the
+    plain decimals stock argparse takes, so such a value ends in the
+    command's own result or one-line reason, never in the usage block."""
+
+    ELEVATION_SWEEP = ["sweep", "--scenario", "s2g", "--space-altitude-km", "600",
+                       "--min-elevation-deg", "10", "--param", "min_elevation", "--to", "10",
+                       "--steps", "3"]
+
+    @pytest.mark.parametrize("argv, code, err", [
+        ([*ELEVATION_SWEEP, "--from", "-1e-3"], 0,
+         "warning: 1 of 3 sweep rows failed; first at param_value=-1.7453292519943296e-05: "
+         "min_elevation_rad must lie in [0, pi/2], got -1.7453292519943296e-05\n"),
+        ([*ELEVATION_SWEEP, "--from", "-inf"], 2,
+         "error: sweep range requires low < high and a finite high - low, "
+         "got low=-inf high=10.0\n"),
+        (["coverage", "--scenario", "s2g", "--space-altitude-km", "-6e2",
+          "--min-elevation-deg", "10"], 2,
+         "error: space_altitude_km must be > 0, got -600.0\n"),
+        (["coverage", "--scenario", "s2g", "--space-altitude-km", "600",
+          "--min-elevation-deg", "-NaN"], 2,
+         "error: min_elevation_rad must lie in [0, pi/2], got nan\n"),
+    ], ids=["from-exponent", "from-inf", "altitude-exponent", "elevation-nan"])
+    def test_value_is_not_an_option(self, argv, code, err, capsys):
+        assert run_cli(argv, capsys)[::2] == (code, err)
+
+
 class TestOneBoundary:
     """Every descriptor key is checked when the descriptor is parsed, so
     ``coverage``, ``count`` and ``sample`` refuse a descriptor alike."""

@@ -126,9 +126,10 @@ GRID_BOUND = st.one_of(
 )
 
 
-def _flag(key: str, value) -> str:
-    # ``--key=value``, so that argparse never reads ``-inf`` as a flag.
-    return f"--{key.replace('_', '-')}={value!r}"
+def _flag(key: str, value) -> list[str]:
+    # Two tokens, as typed: a value such as ``-inf`` or ``-1e-05`` is still
+    # the flag's value, not a flag of its own.
+    return [f"--{key.replace('_', '-')}", repr(value)]
 
 
 @st.composite
@@ -143,8 +144,8 @@ def sweep_argvs(draw) -> list[str]:
     if draw(st.booleans()):
         bounds.sort()
     return ["sweep", f"--scenario={scenario}",
-            *(_flag(key, value) for key, value in flags.items()),
-            f"--param={parameter}", _flag("from", bounds[0]), _flag("to", bounds[1]),
+            *(token for key, value in flags.items() for token in _flag(key, value)),
+            f"--param={parameter}", *_flag("from", bounds[0]), *_flag("to", bounds[1]),
             f"--steps={draw(st.sampled_from([2, 3, 17]))}",
             f"--scale={draw(st.sampled_from(['linear', 'log']))}"]
 

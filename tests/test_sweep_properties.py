@@ -113,7 +113,7 @@ def _oracle(spec: ScenarioSpec, tangent_limited: bool) -> float:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sweeps())
-def test_array_pass_matches_scalar_path(spec):
+def test_rows_match_coverage_and_oracles(spec):
     table = run_sweep(spec)
     grid = table.parameter_value.tolist()
     assert grid == list(grid_values(spec.low, spec.high, spec.steps, spec.scale))

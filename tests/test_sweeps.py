@@ -202,9 +202,8 @@ class TestRunSweep:
     ])
     def test_scalar_path_runs_only_for_failed_rows(self, monkeypatch, scenario, parameter,
                                                    low, high, failures):
-        # The scalar path, a ScenarioSpec and a DomeGeometry per row, now
-        # runs for no row at all: failed and evaluated rows alike go through
-        # the value checks and the kernel, and no dataclass is built.
+        # Failed and evaluated rows alike go through the value checks and
+        # the closed forms alone: no row builds a dataclass.
         spec = SweepSpec(reference_spec(scenario), parameter, low, high, 300)
 
         def refuse(self):
@@ -228,6 +227,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("first", ["low", "-0.0"])
     def test_mask_reasons_are_the_scalar_errors(self, scenario, parameter, low, high,
                                                 reasons, first):
+        # Each failed row's reason is the text coverage raises at its value.
         # 1001 steps over a range symmetric about 0 put a row at exactly 0;
         # a grid from -0.0 starts at -0.0.
         if first == "-0.0":
