@@ -40,7 +40,6 @@ from .scenarios import (
     SweepScale,
     SweepSpec,
     coverage,
-    resolve_radii,
     validate,
 )
 
@@ -77,8 +76,7 @@ __all__ = [
     "Scenario", "ScenarioSpec", "SweepParameter", "SweepScale", "SweepSpec", "SweepTable",
     "Topology", "UnsupportedBranchError", "cap_area", "coverage", "expected_count",
     "full_sphere_count", "generate", "half_power_beamwidth", "load_descriptor",
-    "make_rng", "parse_descriptor", "poisson_count", "resolve_radii", "run_sweep",
-    "sample_cap_angles", "validate", "vertex_angle_downlink",
-    "vertex_angle_downlink_oracle", "vertex_angle_uplink", "vertex_angle_uplink_oracle",
-    "yaw_pitch_matrix",
+    "make_rng", "parse_descriptor", "poisson_count", "run_sweep", "sample_cap_angles",
+    "validate", "vertex_angle_downlink", "vertex_angle_downlink_oracle",
+    "vertex_angle_uplink", "vertex_angle_uplink_oracle", "yaw_pitch_matrix",
 ]

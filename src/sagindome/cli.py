@@ -13,7 +13,7 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .errors import OutputError, SaginDomeError
 from .geometry import expected_count, full_sphere_count, half_power_beamwidth
@@ -66,13 +66,20 @@ class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` that reads a token which starts like a negative
     number (``-1e-3``, ``-.5``, ``-inf``, ``-nan``) as a value, not as an
     option, so every float flag takes each negative value ``float`` reads.
-    Stock argparse reads only plain decimals such as ``-5`` as values.  The
-    subcommands' parsers are of this class too: ``add_parser`` builds them
-    with the class of the parser it belongs to."""
+    Stock argparse reads only plain decimals such as ``-5`` as values.
+
+    Its own refusals (an unknown choice, a missing flag, a value of the
+    wrong type) end like every other input error, in one ``error:`` line and
+    exit 2, not in the usage block.  The subcommands' parsers are of this
+    class too: ``add_parser`` builds them with the class of the parser it
+    belongs to."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message: str) -> NoReturn:
+        raise SaginDomeError(message)
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -192,13 +199,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     flags = _flags_to_data(args)
     # The swept parameter's flag, given or not, is set to the first grid
     # value that passes the row check, so an invalid first grid point
-    # becomes a nan row like any other.  Without such a value the scenario
-    # is parsed at the grid start and its error ends the command.
-    # Inapplicable parameters are left for SweepSpec.
+    # becomes a nan row like any other.  Without such a value, or when the
+    # other layer's fixed altitude fails on its own (no grid is searched
+    # then), the scenario is parsed at the grid start and its error ends the
+    # command.  Inapplicable parameters are left for SweepSpec.
     if "scenario" in flags and parameter_applicable(parameter, Scenario(flags["scenario"])):
         passes = row_check(parameter, flags.get("air_altitude_km"),
                            flags.get("space_altitude_km"))
-        valid = filter(passes, grid_values(low, high, args.steps, scale))
+        valid = filter(passes, grid_values(low, high, args.steps, scale)) if passes else iter(())
         flags[_SWEEP_PARAM_KEYS[parameter]] = to_flag(next(valid, low))
     descriptor = parse_descriptor(flags)
     sweep = SweepSpec(
@@ -251,9 +259,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()
         return code

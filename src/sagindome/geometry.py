@@ -13,7 +13,7 @@ its one point of evaluation, ``_beamwidth`` (behind ``half_power_beamwidth``).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InvalidGeometryError,
@@ -110,25 +110,28 @@ class AntennaConfig:
 class DomeGeometry:
     """A resolved coverage cap on the transmitter sphere.
 
-    ``delta`` is the cosine of the vertex angle, so the cap area always
-    equals 2*pi*transmitter_radius_km**2 * (1 - delta).  ``tangent_limited``
-    marks uplink caps bounded by the tangent cone rather than the beam edge.
+    The transmitter-sphere radius and the Earth-central vertex angle fix the
+    cap; ``delta`` (its cosine) and ``area_km2`` (``cap_area`` of the two,
+    2*pi*transmitter_radius_km**2 * (1 - delta)) are derived from them at
+    construction.  ``tangent_limited`` marks uplink caps bounded by the
+    tangent cone rather than the beam edge.
     """
 
     transmitter_radius_km: float
     receiver_radius_km: float
     vertex_angle_rad: float
-    delta: float
-    area_km2: float
     tangent_limited: bool
+    delta: float = field(init=False)
+    area_km2: float = field(init=False)
 
     def __post_init__(self) -> None:
         _require_positive("transmitter_radius_km", self.transmitter_radius_km)
         _require_positive("receiver_radius_km", self.receiver_radius_km)
         _require_vertex_angle(self.vertex_angle_rad)
-        if not -1.0 <= self.delta <= 1.0:
-            raise InvalidParameterError(f"delta must lie in [-1, 1], got {self.delta!r}")
-        _require_finite_nonnegative("area_km2", self.area_km2)
+        area = cap_area(self.transmitter_radius_km, self.vertex_angle_rad)
+        _require_finite_nonnegative("area_km2", area)
+        object.__setattr__(self, "delta", math.cos(self.vertex_angle_rad))
+        object.__setattr__(self, "area_km2", area)
 
 
 def half_power_beamwidth(antenna: AntennaConfig) -> float:

@@ -36,9 +36,11 @@ class Topology:
     """Generated transmitter positions: an (n, 3) array of x, y, z in km."""
 
     points: np.ndarray
-    count: int
-    dome: DomeGeometry
-    config: SampleConfig
+
+    @property
+    def count(self) -> int:
+        """The number of points."""
+        return len(self.points)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -149,5 +151,5 @@ def generate(dome: DomeGeometry, config: SampleConfig) -> Topology:
         r_t * np.cos(polar),
     ))
     rotation = yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad)
-    return Topology(points=local @ rotation.T, count=count, dome=dome, config=config)
+    return Topology(local @ rotation.T)
 

@@ -175,25 +175,6 @@ class RangeViolation:
     high: float
 
 
-def _layer_radii(earth_radius_km: float, uplink: bool, air: float | None,
-                 space: float | None) -> tuple[float, float]:
-    """(transmitter radius, receiver radius) in km: the Earth radius plus the
-    altitude of each of the link's two layers.  A scenario has the altitude
-    of each layer it touches and of no other (``inputs``), so its altitudes
-    are those of the lower and the upper layer (the ground's is 0), and an
-    uplink transmits from the lower one."""
-    lower = 0.0 if air is None or space is None else air
-    upper = air if space is None else space
-    lower, upper = earth_radius_km + lower, earth_radius_km + upper
-    return (lower, upper) if uplink else (upper, lower)
-
-
-def resolve_radii(spec: ScenarioSpec) -> tuple[float, float]:
-    """Resolve (transmitter radius, receiver radius), both in km."""
-    return _layer_radii(spec.earth_radius_km, spec.scenario.direction is Direction.UPLINK,
-                        spec.air_altitude_km, spec.space_altitude_km)
-
-
 def validate(spec: ScenarioSpec) -> tuple[RangeViolation, ...]:
     """Range-check parameters against customary operating ranges.
 
@@ -209,15 +190,8 @@ def validate(spec: ScenarioSpec) -> tuple[RangeViolation, ...]:
 
 def coverage(spec: ScenarioSpec) -> DomeGeometry:
     """Resolve the scenario end to end into its coverage dome."""
-    r_t, r_r, phi, area, tangent_limited = _resolve(spec, _values(spec))
-    return DomeGeometry(
-        transmitter_radius_km=r_t,
-        receiver_radius_km=r_r,
-        vertex_angle_rad=phi,
-        delta=math.cos(phi),
-        area_km2=area,
-        tangent_limited=tangent_limited,
-    )
+    r_t, r_r, phi, _, tangent_limited = _resolve(spec, _values(spec))
+    return DomeGeometry(r_t, r_r, phi, tangent_limited)
 
 
 def _resolve(spec: ScenarioSpec, values: list) -> tuple[float, float, float, float, bool]:
@@ -236,8 +210,13 @@ def _resolve(spec: ScenarioSpec, values: list) -> tuple[float, float, float, flo
     """
     frequency, elevation, air, space = values
     earth, antenna = spec.earth_radius_km, spec.antenna
-    # Only an uplink has an antenna (``inputs``), and its beamwidth sets the cap.
-    r_t, r_r = _layer_radii(earth, antenna is not None, air, space)
+    # A scenario has the altitude of each layer it touches and of no other
+    # (``inputs``), so its altitudes are those of the link's lower and upper
+    # layer (the ground's is 0).  Only an uplink has an antenna, whose
+    # beamwidth sets the cap, and an uplink transmits from the lower layer.
+    lower = earth + (0.0 if air is None or space is None else air)
+    upper = earth + (air if space is None else space)
+    r_t, r_r = (upper, lower) if antenna is None else (lower, upper)
     angle = (elevation if antenna is None else
              _beamwidth(antenna.illumination_coefficient, frequency, antenna.reflector_diameter_m))
     if r_t == r_r < math.inf:

@@ -64,15 +64,21 @@ def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> Itera
 
 
 def row_check(parameter: SweepParameter, air_altitude_km: float | None,
-              space_altitude_km: float | None) -> Callable[[float], bool]:
+              space_altitude_km: float | None) -> Callable[[float], bool] | None:
     """Whether a swept value (library units) passes ``scenarios._check_values``
     given only itself and, for an altitude, the other layer's fixed altitude
-    (None for a layer the scenario lacks).  The CLI picks a sweep's base value
-    with it before any scenario exists; every other fixed value is checked
-    when the base is built."""
+    (None for a layer the scenario lacks); None when that fixed altitude
+    fails on its own, so that no value can pass.  The CLI picks a sweep's
+    base value with it before any scenario exists; every other fixed value
+    is checked when the base is built."""
     slot = _slot(parameter)
     altitude = parameter in (SweepParameter.AIR_ALTITUDE, SweepParameter.SPACE_ALTITUDE)
     values = [None, None, air_altitude_km, space_altitude_km] if altitude else [None] * 4
+    values[slot] = None
+    try:
+        _check_values(*values)
+    except SaginDomeError:
+        return None
 
     def passes(value: float) -> bool:
         values[slot] = value

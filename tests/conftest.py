@@ -51,6 +51,16 @@ def reference_spec(scenario: Scenario) -> ScenarioSpec:
                         min_elevation_rad=math.radians(10.0))
 
 
+def layer_radii(spec: ScenarioSpec) -> tuple[float, float]:
+    """(transmitter radius, receiver radius) in km, computed apart from the
+    package: the Earth radius plus the altitude of the layer each end of
+    the link is on (``s2a`` transmits from space to air; the ground is at 0)."""
+    altitude = {"g": 0.0, "a": spec.air_altitude_km, "s": spec.space_altitude_km}
+    transmitter, receiver = spec.scenario.value.split("2")
+    return (spec.earth_radius_km + altitude[transmitter],
+            spec.earth_radius_km + altitude[receiver])
+
+
 def with_parameter(base: ScenarioSpec, parameter: SweepParameter,
                    value: float) -> ScenarioSpec:
     """The scenario a sweep evaluates at one grid value: ``coverage`` of it

@@ -60,10 +60,19 @@ UNDERFLOW_REASON = ("carrier_frequency_hz * reflector_diameter_m underflows to 0
                     "1e-300 * 1e-300")
 
 
+
+def a2s_air_sweep(space_altitude: str) -> list[str]:
+    """An air-altitude sweep of a2s under the given space altitude."""
+    return ["--scenario", "a2s", "--space-altitude-km", space_altitude,
+            "--carrier-frequency-hz", "40e9", "--illumination-coefficient", "70",
+            "--reflector-diameter-m", "4", "--param", "air_altitude", "--from", "1",
+            "--to", "10"]
+
+
 def run_cli(argv, capsys):
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse's own rejections
+    except SystemExit as exc:  # --help
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -305,9 +314,31 @@ class TestSweepCommand:
           "--min-elevation-deg", "10", "--param", "min_elevation", "--from", "-10",
           "--to", "30"],
          "air_altitude_km=700.0 must be below space_altitude_km=600.0"),
+        # The other layer's altitude fails on its own, so no grid value can
+        # pass: the base is parsed at the grid start.
+        (a2s_air_sweep("nan"), "space_altitude_km must be > 0, got nan"),
     ])
     def test_invalid_fixed_flag_exit_2(self, argv, reason, capsys):
         code, out, err = run_cli(["sweep", *argv, "--steps", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("altitude, reason", [
+        ("nan", "space_altitude_km must be > 0, got nan"),
+        ("-600", "space_altitude_km must be > 0, got -600.0"),
+    ])
+    def test_invalid_other_altitude_searches_no_grid(self, altitude, reason, capsys,
+                                                     monkeypatch):
+        grid_values = sweeps.grid_values
+
+        def at_most_one(*args):
+            values = grid_values(*args)
+            yield next(values)
+            raise AssertionError("the base search must not walk the grid")
+
+        monkeypatch.setattr(sweeps, "grid_values", at_most_one)
+        code, out, err = run_cli(["sweep", *a2s_air_sweep(altitude), "--steps", "1000000"],
+                                 capsys)
         assert code == 2 and out == ""
         assert err == f"error: {reason}\n"
 
@@ -521,6 +552,36 @@ class TestCountCommand:
                               '"min_elevation_deg": 10}')
         code, _, err = run_cli(["count", "--descriptor", str(descriptor)], capsys)
         assert code == 2 and "density" in err
+
+
+class TestArgparseRefusals:
+    """argparse's own refusals end like every other input error: one
+    ``error:`` line, exit 2, no usage block."""
+
+    GRID = ["--from", "0", "--to", "10"]
+
+    @pytest.mark.parametrize("argv, start", [
+        (["sweep", "--scenario", "s2g", "--space-altitude-km", "600", "--param",
+          "min_elevation", *GRID, "--steps", "1e3"],
+         "error: argument --steps: invalid int value"),
+        (["sweep", "--scenario", "x2y", "--param", "min_elevation", *GRID, "--steps", "3"],
+         "error: argument --scenario: invalid choice"),
+        (["sweep", "--scenario", "s2g", "--space-altitude-km", "600", *GRID, "--steps", "3"],
+         "error: the following arguments are required: --param"),
+        ([], "error: the following arguments are required: command"),
+    ], ids=["steps-not-int", "unknown-scenario", "missing-param", "no-subcommand"])
+    def test_one_line_exit_2(self, argv, start, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0
+        assert out.startswith("usage: sagindome") and err == ""
 
 
 class TestNegativeFloatValues:

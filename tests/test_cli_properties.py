@@ -112,8 +112,8 @@ def test_exit_code_and_output(descriptor_path, data):
             assert line in MISSING_KEY_LINES or line.startswith(PRODUCT_PREFIXES)
 
 
-# Float flag values and grid bounds: argparse refuses anything else with
-# its own usage text, before the program runs.
+# Float flag values and grid bounds: argparse refuses anything else, in
+# one error: line, before the program runs.
 HOSTILE_FLOAT = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, -600.0, 5e-324, 1e-320, 1e308,
                      1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]),

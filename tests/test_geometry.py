@@ -233,15 +233,36 @@ class TestCapArea:
 
 
 class TestDomeGeometry:
-    @pytest.mark.parametrize("field", ["vertex_angle_rad", "area_km2"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_angle_or_area_rejected(self, field, value):
-        fields = dict(transmitter_radius_km=6971.0, receiver_radius_km=6371.0,
-                      vertex_angle_rad=0.27, delta=math.cos(0.27), area_km2=1.1e7,
-                      tangent_limited=False)
-        DomeGeometry(**fields)
+    FIELDS = dict(transmitter_radius_km=6971.0, receiver_radius_km=6371.0,
+                  vertex_angle_rad=0.27, tangent_limited=False)
+
+    @pytest.mark.parametrize("override, field", [
+        *(pytest.param({"vertex_angle_rad": value}, "vertex_angle_rad",
+                       id=f"{value}-vertex_angle_rad")
+          for value in (math.inf, -math.inf, math.nan)),
+        # The area is computed, so it is never nan or -inf: it can only
+        # overflow, through the radius.
+        pytest.param({"transmitter_radius_km": 1e200}, "area_km2", id="inf-area_km2"),
+    ])
+    def test_non_finite_angle_or_area_rejected(self, override, field):
+        DomeGeometry(**self.FIELDS)
         with pytest.raises(InvalidParameterError, match=field):
-            DomeGeometry(**dict(fields, **{field: value}))
+            DomeGeometry(**dict(self.FIELDS, **override))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(radius=st.floats(1e-3, 1e6), phi=st.floats(0.0, math.pi))
+    def test_derived_values_are_the_closed_forms(self, radius, phi):
+        dome = DomeGeometry(radius, 0.5 * radius, phi, False)
+        assert dome.delta == math.cos(phi)
+        assert dome.area_km2 == cap_area(radius, phi)
+
+    def test_derived_values_are_not_inputs(self):
+        # cos(0.1) is 0.995, so a delta of 0.5 and an area of 1 would
+        # describe another cap than the radius and angle do.
+        with pytest.raises(TypeError):
+            DomeGeometry(6971.0, 6371.0, 0.1, 0.5, 1.0, False)
+        with pytest.raises(TypeError):
+            DomeGeometry(**self.FIELDS, delta=0.5)
 
 
 class TestOracleForms:

@@ -314,12 +314,6 @@ def table_of(rows, errors=None) -> SweepTable:
                       [bool(flag) for flag in columns[3]], errors or {})
 
 
-def topology_of(points: np.ndarray) -> Topology:
-    dome = coverage(reference_spec(Scenario.S2G))
-    return Topology(points=points, count=len(points), dome=dome,
-                    config=SampleConfig(density_per_km2=0.0))
-
-
 def special_points(n: int) -> np.ndarray:
     """``n`` rows of random doubles with the special values spread among them."""
     rng = np.random.default_rng(n)
@@ -340,13 +334,13 @@ class TestChunkedCsv:
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_points_bytes_equal_per_value_join(self, n):
         points = special_points(n)
-        topology = topology_of(points)
+        topology = Topology(points)
         chunks = list(points_csv_chunks(topology))
         assert "".join(chunks) == per_value_points_csv(points)
         assert len(chunks) == 1 + -(-n // _CHUNK_ROWS)
 
     def test_points_special_values_text(self):
-        text = "".join(points_csv_chunks(topology_of(np.array(
+        text = "".join(points_csv_chunks(Topology(np.array(
             [SPECIAL_VALUES[:3], SPECIAL_VALUES[3:6], SPECIAL_VALUES[6:9]]))))
         assert text == ("x_km,y_km,z_km\nnan,inf,-inf\n-0,0,4.9406564584124654e-324\n"
                         "-4.9406564584124654e-324,1.7976931348623157e+308,"
@@ -368,7 +362,7 @@ class TestChunkedCsv:
     @given(arrays(np.float64, st.tuples(st.integers(0, 8), st.just(3)),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
     def test_points_property(self, points):
-        assert "".join(points_csv_chunks(topology_of(points))) == per_value_points_csv(points)
+        assert "".join(points_csv_chunks(Topology(points))) == per_value_points_csv(points)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.booleans()),

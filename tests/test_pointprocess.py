@@ -19,6 +19,7 @@ from sagindome import (
     SampleConfig,
     SampleMode,
     Scenario,
+    Topology,
     cap_area,
     coverage,
     generate,
@@ -232,6 +233,18 @@ class TestGenerate:
         assert topology.count == 0
         assert topology.points.shape == (0, 3)
 
+    @pytest.mark.parametrize("rows", [0, 1, 57])
+    def test_count_is_the_number_of_points(self, rows):
+        topology = Topology(np.zeros((rows, 3)))
+        assert topology.count == len(topology.points) == rows
+        with pytest.raises(TypeError):
+            Topology(np.zeros((rows, 3)), count=rows + 1)
+
+    def test_count_is_the_poisson_draw(self, s2g_spec):
+        dome = coverage(s2g_spec)
+        topology = generate(dome, SampleConfig(density_per_km2=5e-6, seed=42))
+        assert topology.count == poisson_count(5e-6, dome.area_km2, make_rng(42)) > 0
+
     def test_radius_and_containment(self, g2s_spec):
         dome = coverage(g2s_spec)
         config = SampleConfig(density_per_km2=50.0, seed=77)
@@ -334,7 +347,7 @@ class TestSamplerProperties:
         area = cap_area(radius, phi)
         # About ``mean`` points, or none where the cap's area underflows.
         density = mean / area if area > 0.0 and mean / area < math.inf else 0.0
-        dome = DomeGeometry(radius, 2.0 * radius, phi, math.cos(phi), area, False)
+        dome = DomeGeometry(radius, 2.0 * radius, phi, False)
         config = SampleConfig(density_per_km2=density, rx_azimuth_rad=rx_azimuth,
                               rx_polar_rad=rx_polar, mode=mode, seed=seed)
         points = generate(dome, config).points

@@ -17,10 +17,9 @@ from sagindome import (
     Scenario,
     ScenarioSpec,
     coverage,
-    resolve_radii,
     validate,
 )
-from conftest import AREA_RTOL, PUBLISHED_AREAS_KM2, reference_spec
+from conftest import AREA_RTOL, PUBLISHED_AREAS_KM2, layer_radii, reference_spec
 
 # Oracle-route areas at the reference configurations with the default
 # constants (light speed 2.998e8 m/s).
@@ -37,23 +36,29 @@ DISH = AntennaConfig(70.0, 4.0, 40e9)
 WHIP = AntennaConfig(70.0, 0.2, 2e9)
 
 
+def radii(dome) -> tuple[float, float]:
+    return dome.transmitter_radius_km, dome.receiver_radius_km
+
+
 class TestResolveRadii:
+    """The radii ``coverage`` resolves: each layer's Earth radius plus altitude."""
+
     def test_ground_to_space_meo(self):
         spec = ScenarioSpec(Scenario.G2S, space_altitude_km=20000.0, antenna=DISH)
-        assert resolve_radii(spec) == (6371.0, 26371.0)
+        assert radii(coverage(spec)) == (6371.0, 26371.0)
 
     def test_space_to_ground_leo(self):
         spec = ScenarioSpec(Scenario.S2G, space_altitude_km=600.0,
                             min_elevation_rad=math.radians(10.0))
-        assert resolve_radii(spec) == (6971.0, 6371.0)
+        assert radii(coverage(spec)) == (6971.0, 6371.0)
 
     def test_air_to_ground(self):
         spec = ScenarioSpec(Scenario.A2G, air_altitude_km=5.0,
                             min_elevation_rad=math.radians(10.0))
-        assert resolve_radii(spec) == (6376.0, 6371.0)
+        assert radii(coverage(spec)) == (6376.0, 6371.0)
 
     def test_direction_consistency(self, any_reference_spec):
-        r_t, r_r = resolve_radii(any_reference_spec)
+        r_t, r_r = radii(coverage(any_reference_spec))
         if any_reference_spec.scenario.direction is Direction.UPLINK:
             assert r_t < r_r
         else:
@@ -63,10 +68,14 @@ class TestResolveRadii:
         spec = ScenarioSpec(Scenario.S2G, space_altitude_km=600.0,
                             min_elevation_rad=math.radians(10.0),
                             earth_radius_km=6378.0)
-        assert resolve_radii(spec) == (6978.0, 6378.0)
+        assert radii(coverage(spec)) == (6978.0, 6378.0)
 
 
 class TestSpecInvariants:
+    def test_scenario_must_be_a_scenario(self):
+        with pytest.raises(InvalidParameterError, match="scenario must be a Scenario"):
+            ScenarioSpec("s2g", space_altitude_km=600.0, min_elevation_rad=0.2)
+
     def test_uplink_requires_antenna(self):
         with pytest.raises(InvalidParameterError, match="antenna"):
             ScenarioSpec(Scenario.G2S, space_altitude_km=600.0)
@@ -169,9 +178,8 @@ class TestCoverage:
 
     def test_dome_fields_are_consistent(self, any_reference_spec):
         dome = coverage(any_reference_spec)
-        r_t, r_r = resolve_radii(any_reference_spec)
-        assert dome.transmitter_radius_km == r_t
-        assert dome.receiver_radius_km == r_r
+        r_t, r_r = layer_radii(any_reference_spec)
+        assert radii(dome) == (r_t, r_r)
         assert -1.0 <= dome.delta <= 1.0
         assert 0.0 <= dome.vertex_angle_rad <= math.pi
         # Area and delta describe the same cap: 2*pi*R^2*(1-delta).

@@ -25,14 +25,13 @@ from sagindome import (
     SweepSpec,
     coverage,
     half_power_beamwidth,
-    resolve_radii,
     run_sweep,
     vertex_angle_downlink_oracle,
     vertex_angle_uplink_oracle,
 )
 from sagindome.scenarios import parameter_applicable
 from sagindome.sweeps import grid_values
-from conftest import with_parameter
+from conftest import layer_radii, with_parameter
 
 ORACLE_RAD = 1e-9       # vertex angle against the difference-form oracles
 BOUNDARY_RAD = 1e-12    # the oracles lose precision this close to the tangent boundary
@@ -66,7 +65,7 @@ def _natural_scale(base: ScenarioSpec, parameter: SweepParameter) -> float:
     tangent-limited boundary for the frequency, the other layer for the
     altitudes."""
     if parameter is SweepParameter.CARRIER_FREQUENCY:
-        r_t, r_r = resolve_radii(base)
+        r_t, r_r = layer_radii(base)
         edge_deg = math.degrees(2.0 * math.asin(r_t / r_r))
         antenna = base.antenna
         return (antenna.illumination_coefficient * LIGHT_SPEED_M_PER_S
@@ -98,12 +97,12 @@ def _boundary_distance(spec: ScenarioSpec) -> float:
     """Half-beam minus the tangent-limited threshold; inf for downlinks."""
     if spec.scenario.direction is Direction.DOWNLINK:
         return math.inf
-    r_t, r_r = resolve_radii(spec)
+    r_t, r_r = layer_radii(spec)
     return 0.5 * half_power_beamwidth(spec.antenna) - math.asin(r_t / r_r)
 
 
 def _oracle(spec: ScenarioSpec, tangent_limited: bool) -> float:
-    r_t, r_r = resolve_radii(spec)
+    r_t, r_r = layer_radii(spec)
     if spec.scenario.direction is Direction.DOWNLINK:
         return vertex_angle_downlink_oracle(spec.min_elevation_rad, r_t, r_r)
     if tangent_limited:

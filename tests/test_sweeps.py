@@ -64,6 +64,14 @@ class TestSweepSpecValidation:
             SweepSpec(reference_spec(Scenario.G2S), SweepParameter.CARRIER_FREQUENCY,
                       low, high, 10)
 
+    @pytest.mark.parametrize("field, value", [("parameter", "air_altitude"),
+                                              ("scale", "log")])
+    def test_enum_fields_refuse_their_values(self, field, value):
+        fields = dict(base=reference_spec(Scenario.A2S),
+                      parameter=SweepParameter.AIR_ALTITUDE, low=1.0, high=2.0, steps=5)
+        with pytest.raises(InvalidParameterError, match=f"{field} must be a Sweep"):
+            SweepSpec(**dict(fields, **{field: value}))
+
     def test_log_scale_needs_positive_low(self):
         with pytest.raises(InvalidParameterError):
             SweepSpec(reference_spec(Scenario.S2G), SweepParameter.MIN_ELEVATION,
