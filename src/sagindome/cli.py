@@ -184,7 +184,7 @@ def _report_failed_rows(sweep: "SweepTable") -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweeps import grid_values, row_check, run_sweep
+    from .sweeps import base_value, run_sweep
 
     parameter = SweepParameter(args.param)
     scale = SweepScale(args.scale)
@@ -198,16 +198,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         check_grid(low, high, args.steps, scale)
     flags = _flags_to_data(args)
     # The swept parameter's flag, given or not, is set to the first grid
-    # value that passes the row check, so an invalid first grid point
-    # becomes a nan row like any other.  Without such a value, or when the
-    # other layer's fixed altitude fails on its own (no grid is searched
-    # then), the scenario is parsed at the grid start and its error ends the
-    # command.  Inapplicable parameters are left for SweepSpec.
+    # value the scenario accepts (``base_value``), so an invalid first grid
+    # point becomes a nan row like any other.  Without such a value, or when
+    # the other layer's fixed altitude fails on its own, the scenario is
+    # parsed at the grid start and its error ends the command.  Inapplicable
+    # parameters are left for SweepSpec.
     if "scenario" in flags and parameter_applicable(parameter, Scenario(flags["scenario"])):
-        passes = row_check(parameter, flags.get("air_altitude_km"),
-                           flags.get("space_altitude_km"))
-        valid = filter(passes, grid_values(low, high, args.steps, scale)) if passes else iter(())
-        flags[_SWEEP_PARAM_KEYS[parameter]] = to_flag(next(valid, low))
+        flags[_SWEEP_PARAM_KEYS[parameter]] = to_flag(base_value(
+            parameter, flags.get("air_altitude_km"), flags.get("space_altitude_km"),
+            low, high, args.steps, scale))
     descriptor = parse_descriptor(flags)
     sweep = SweepSpec(
         base=descriptor.spec,

@@ -6,6 +6,12 @@ minimum elevation angle (downlink).  This module holds those closed forms,
 the difference-of-angles identities used as independent cross-checks, and
 the expected node counts of a cap and of a whole sphere.
 
+Each closed form is a public function that checks its arguments and a
+private body (``_vertex_angle_uplink``, ``_vertex_angle_downlink``,
+``_cap_area``) that evaluates them unchecked, clamps included.  Callers that
+have already checked their values, as ``scenarios._resolve`` has for
+``coverage`` and every sweep row, call the bodies.
+
 Every angle crossing these functions is in radians and every length in
 kilometres.  The single deliberate exception is the reflector-antenna
 beamwidth formula, which is defined in degrees and converted to radians at
@@ -128,10 +134,22 @@ class DomeGeometry:
         _require_positive("transmitter_radius_km", self.transmitter_radius_km)
         _require_positive("receiver_radius_km", self.receiver_radius_km)
         _require_vertex_angle(self.vertex_angle_rad)
-        area = cap_area(self.transmitter_radius_km, self.vertex_angle_rad)
+        area = _cap_area(self.transmitter_radius_km, self.vertex_angle_rad)
         _require_finite_nonnegative("area_km2", area)
         object.__setattr__(self, "delta", math.cos(self.vertex_angle_rad))
         object.__setattr__(self, "area_km2", area)
+
+
+def _checked_dome(r_t_km: float, r_r_km: float, vertex_angle_rad: float, area_km2: float,
+                  tangent_limited: bool) -> DomeGeometry:
+    """The ``DomeGeometry`` of values that already passed its checks, with
+    their ``cap_area`` (``scenarios._resolve``): built without repeating
+    either."""
+    dome = object.__new__(DomeGeometry)
+    vars(dome).update(transmitter_radius_km=r_t_km, receiver_radius_km=r_r_km,
+                      vertex_angle_rad=vertex_angle_rad, tangent_limited=tangent_limited,
+                      delta=math.cos(vertex_angle_rad), area_km2=area_km2)
+    return dome
 
 
 def half_power_beamwidth(antenna: AntennaConfig) -> float:
@@ -170,6 +188,12 @@ def vertex_angle_uplink(beamwidth_rad: float, r_t_km: float,
     bounded by tangency at arccos(R_t/R_r) instead.
     """
     _check_uplink_domain(beamwidth_rad, r_t_km, r_r_km)
+    return _vertex_angle_uplink(beamwidth_rad, r_t_km, r_r_km)
+
+
+def _vertex_angle_uplink(beamwidth_rad: float, r_t_km: float,
+                         r_r_km: float) -> tuple[float, bool]:
+    """``vertex_angle_uplink`` of arguments inside its domain, unchecked."""
     half = 0.5 * beamwidth_rad
     ratio = r_t_km / r_r_km
     if half > math.asin(ratio):
@@ -191,6 +215,11 @@ def vertex_angle_downlink(elevation_rad: float, r_t_km: float, r_r_km: float) ->
             + sin(alpha) sqrt(1 - (R_r^2/R_t^2) cos^2(alpha)).
     """
     _check_downlink_domain(elevation_rad, r_t_km, r_r_km)
+    return _vertex_angle_downlink(elevation_rad, r_t_km, r_r_km)
+
+
+def _vertex_angle_downlink(elevation_rad: float, r_t_km: float, r_r_km: float) -> float:
+    """``vertex_angle_downlink`` of arguments inside its domain, unchecked."""
     k = r_r_km / r_t_km
     c = math.cos(elevation_rad)
     radicand = _clamp_nonnegative(1.0 - (k * c) ** 2, "downlink radicand")
@@ -207,6 +236,11 @@ def cap_area(r_t_km: float, vertex_angle_rad: float) -> float:
     """
     _require_positive("r_t_km", r_t_km)
     _require_vertex_angle(vertex_angle_rad)
+    return _cap_area(r_t_km, vertex_angle_rad)
+
+
+def _cap_area(r_t_km: float, vertex_angle_rad: float) -> float:
+    """``cap_area`` of arguments inside its domain, unchecked."""
     half_sin = math.sin(0.5 * vertex_angle_rad)
     return 4.0 * math.pi * r_t_km * r_t_km * half_sin * half_sin
 

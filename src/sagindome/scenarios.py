@@ -12,17 +12,20 @@ from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
-from .errors import InvalidGeometryError, InvalidParameterError
+from .errors import InvalidGeometryError, InvalidParameterError, SaginDomeError
 from .geometry import (
     DEFAULT_EARTH_RADIUS_KM,
     AntennaConfig,
     DomeGeometry,
     _beamwidth,
+    _cap_area,
+    _check_downlink_domain,
+    _check_uplink_domain,
+    _checked_dome,
     _require_finite_nonnegative,
     _require_positive,
-    cap_area,
-    vertex_angle_downlink,
-    vertex_angle_uplink,
+    _vertex_angle_downlink,
+    _vertex_angle_uplink,
 )
 
 
@@ -149,20 +152,50 @@ def _values(spec: ScenarioSpec) -> list:
 def _check_values(frequency: float | None, elevation: float | None, air: float | None,
                   space: float | None) -> None:
     """The checks of a scenario's values (``_values``), in ``ScenarioSpec``'s
-    order: the one statement of which values a scenario accepts, for a spec
-    and for every sweep row."""
-    if frequency is not None:
-        _require_positive("carrier_frequency_hz", frequency)
-    if elevation is not None and not 0.0 <= elevation <= 0.5 * math.pi:
-        raise InvalidParameterError(
-            f"min_elevation_rad must lie in [0, pi/2], got {elevation!r}")
-    if air is not None:
-        _require_positive("air_altitude_km", air)
-    if space is not None:
-        _require_positive("space_altitude_km", space)
-        if air is not None and air >= space:
-            raise InvalidGeometryError(
-                f"air_altitude_km={air!r} must be below space_altitude_km={space!r}")
+    order, for a spec and for a sweep's fixed values: each value against its
+    ``_interval``.  The space altitude is left out of the others, so the air
+    altitude is checked on its own and the altitude order at the space
+    altitude."""
+    values = [frequency, elevation, air, None]
+    for slot, value in enumerate((frequency, elevation, air, space)):
+        if value is not None:
+            low, high = _interval(slot, values)
+            if not low < value < high:
+                raise _fault(slot, value, values)
+
+
+# [0, pi/2] as the open interval between the floats next to its ends.
+_ELEVATION_INTERVAL = (-math.ulp(0.0), math.nextafter(0.5 * math.pi, math.inf))
+
+
+def _interval(slot: int, values: list) -> tuple[float, float]:
+    """The values a scenario accepts at ``slot`` of its values (``_values``)
+    when the others, each valid on its own, are fixed, as an open interval
+    (low, high): the one statement of the value rules.  The carrier
+    frequency lies in (0, inf), the elevation in [0, pi/2], the air altitude
+    in (0, space) and the space altitude in (air, inf); an altitude without
+    the other layer's lies in (0, inf)."""
+    if slot == 1:
+        return _ELEVATION_INTERVAL
+    if slot == 2 and values[3] is not None:
+        return 0.0, values[3]
+    if slot == 3 and values[2] is not None:
+        return values[2], math.inf
+    return 0.0, math.inf
+
+
+def _fault(slot: int, value: float, values: list) -> SaginDomeError:
+    """The error of a value outside ``_interval(slot, values)``, not raised."""
+    name = _VALUE_NAMES[slot]
+    if slot == 1:
+        return InvalidParameterError(f"{name} must lie in [0, pi/2], got {value!r}")
+    if not value > 0.0:
+        return InvalidParameterError(f"{name} must be > 0, got {value!r}")
+    if value == math.inf:
+        return InvalidParameterError(f"{name} must be finite, got {value!r}")
+    air, space = (value, values[3]) if slot == 2 else (values[2], value)
+    return InvalidGeometryError(
+        f"air_altitude_km={air!r} must be below space_altitude_km={space!r}")
 
 
 @dataclass(frozen=True)
@@ -190,23 +223,23 @@ def validate(spec: ScenarioSpec) -> tuple[RangeViolation, ...]:
 
 def coverage(spec: ScenarioSpec) -> DomeGeometry:
     """Resolve the scenario end to end into its coverage dome."""
-    r_t, r_r, phi, _, tangent_limited = _resolve(spec, _values(spec))
-    return DomeGeometry(r_t, r_r, phi, tangent_limited)
+    return _checked_dome(*_resolve(spec, _values(spec)))
 
 
 def _resolve(spec: ScenarioSpec, values: list) -> tuple[float, float, float, float, bool]:
     """``coverage`` of the spec's scenario, Earth radius and antenna at values
-    (``_values``) that ``_check_values`` passed: the (transmitter radius,
+    (``_values``) inside their ``_interval``: the (transmitter radius,
     receiver radius, vertex angle, cap area, tangent_limited) of its dome.
 
-    It raises what ``coverage`` raises, in the same order: an uplink's
-    beamwidth, formed from the values' carrier frequency; radii that round
-    to the same value; the closed forms' domain checks and clamps; then the
-    checks of ``cap_area`` and of ``DomeGeometry``.  The rounding of a
-    radius is monotonic, so valid altitudes can break the radius order only
-    by rounding to equal radii; that is refused in the names of the inputs,
-    not of the radii.  Radii that both overflowed to inf are left to the
-    closed forms, which name them as not finite.
+    It raises what ``coverage`` raises, in the same order, but checks only
+    what such values can still fail, and then evaluates the closed forms'
+    unchecked bodies: an uplink's beamwidth, formed from the values' carrier
+    frequency, that underflows or leaves (0, pi); radii that round to the
+    same value; radii that overflow to inf; the closed forms' clamps; an
+    area that overflows.  The rounding of a radius is monotonic, so valid
+    altitudes can break the radius order only by rounding to equal radii;
+    that is refused in the names of the inputs, not of the radii.  Every
+    other fault is named by the public check it fails, called only then.
     """
     frequency, elevation, air, space = values
     earth, antenna = spec.earth_radius_km, spec.antenna
@@ -226,12 +259,18 @@ def _resolve(spec: ScenarioSpec, values: list) -> tuple[float, float, float, flo
             f"transmitter and receiver radii round to the same value: "
             f"earth_radius_km={earth!r} with {altitudes}")
     if antenna is None:
-        phi, tangent_limited = vertex_angle_downlink(angle, r_t, r_r), False
+        if r_r == math.inf:
+            _check_downlink_domain(angle, r_t, r_r)
+        phi, tangent_limited = _vertex_angle_downlink(angle, r_t, r_r), False
     else:
-        phi, tangent_limited = vertex_angle_uplink(angle, r_t, r_r)
-    area = cap_area(r_t, phi)
-    if not (r_r < math.inf and area < math.inf):
-        # Past the checks above, only these two DomeGeometry checks can fail.
+        if not (r_t < math.inf and 0.0 < angle < math.pi):
+            _check_uplink_domain(angle, r_t, r_r)
+        phi, tangent_limited = _vertex_angle_uplink(angle, r_t, r_r)
+    area = _cap_area(r_t, phi)
+    if not (r_t < math.inf and r_r < math.inf and area < math.inf):
+        # Past the checks above, only these checks of cap_area and
+        # DomeGeometry can fail.
+        _require_positive("r_t_km", r_t)
         _require_positive("receiver_radius_km", r_r)
         _require_finite_nonnegative("area_km2", area)
     return r_t, r_r, phi, area, tangent_limited

@@ -1,18 +1,23 @@
 """Parameter sweeps over scenario geometry, one grid point at a time.
 
-A row is the base scenario's values with the swept one set to the grid
-value, put through ``ScenarioSpec``'s own value check
-(``scenarios._check_values``) and then the function ``coverage`` resolves
-its dome with (``scenarios._resolve``).  So a row is exactly ``coverage``
-at its grid value, or the text of the error it raises.  No dataclass is
-built per row, and no numpy is needed.
+A sweep is checked once: its fixed values pass ``scenarios._check_values``
+when its base scenario is built, and they fix the one interval of values the
+swept parameter may take (``scenarios._interval``).  Each row then costs two
+float comparisons against that interval and its arithmetic.  A value outside
+it records the reason ``ScenarioSpec`` would raise there
+(``scenarios._fault``) without raising it; a value inside goes through the
+function ``coverage`` resolves its dome with (``scenarios._resolve``), which
+evaluates the private bodies of the closed forms and keeps only the checks
+such a value can still fail.  So a row is exactly ``coverage`` at its grid
+value, or the text of the error it raises.  No dataclass is built per row,
+and no numpy is needed.
 """
 
 import math
 from array import array
+from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import SaginDomeError
 from .scenarios import (
@@ -20,6 +25,8 @@ from .scenarios import (
     SweepScale,
     SweepSpec,
     _check_values,
+    _fault,
+    _interval,
     _resolve,
     _slot,
     _values,
@@ -38,39 +45,52 @@ class SweepTable:
     errors: dict[int, str]
 
 
-def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> Iterator[float]:
-    """The points of a range that passed ``check_grid``, one at a time.
+def grid_point(low: float, high: float, steps: int, scale: SweepScale) -> Callable[[int], float]:
+    """The function from an index to that point of a range that passed
+    ``check_grid``, so any point costs one evaluation.
 
     A linear grid follows np.linspace's formula, so it has its bytes.  A log
     grid is 10 ** y over the linear grid of the bounds' log10, clamped to
     [low, high] (a power that overflows gives ``high``), between the bounds.
+    Both are non-decreasing in the index.
     """
+    last = steps - 1
     if scale is SweepScale.LINEAR:
-        div, delta = steps - 1, high - low
-        step = delta / div
-        for index in range(div):
-            yield index * step + low if step else index / div * delta + low
-        yield high
-        return
-    yield low
-    exponents = grid_values(math.log10(low), math.log10(high), steps, SweepScale.LINEAR)
-    for exponent in islice(exponents, 1, steps - 1):
+        delta = high - low
+        step = delta / last
+        if step:
+            return lambda index: index * step + low if index < last else high
+        return lambda index: index / last * delta + low if index < last else high
+    exponent = grid_point(math.log10(low), math.log10(high), steps, SweepScale.LINEAR)
+
+    def point(index: int) -> float:
+        if index == 0 or index == last:
+            return high if index else low
         try:
-            value = 10.0 ** exponent
+            value = 10.0 ** exponent(index)
         except OverflowError:
-            value = high
-        yield min(max(value, low), high)
-    yield high
+            return high
+        return low if value < low else high if value > high else value
+    return point
 
 
-def row_check(parameter: SweepParameter, air_altitude_km: float | None,
-              space_altitude_km: float | None) -> Callable[[float], bool] | None:
-    """Whether a swept value (library units) passes ``scenarios._check_values``
-    given only itself and, for an altitude, the other layer's fixed altitude
-    (None for a layer the scenario lacks); None when that fixed altitude
-    fails on its own, so that no value can pass.  The CLI picks a sweep's
-    base value with it before any scenario exists; every other fixed value
-    is checked when the base is built."""
+def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> Iterator[float]:
+    """The points of a range that passed ``check_grid``, in grid order
+    (``grid_point``)."""
+    return map(grid_point(low, high, steps, scale), range(steps))
+
+
+def base_value(parameter: SweepParameter, air_altitude_km: float | None,
+               space_altitude_km: float | None, low: float, high: float, steps: int,
+               scale: SweepScale) -> float:
+    """The first grid point (library units) that ``scenarios._check_values``
+    accepts given only itself and, for an altitude, the other layer's fixed
+    altitude (None for a layer the scenario lacks); ``low`` when no point
+    does, or when that fixed altitude fails on its own.  The CLI seeds a
+    sweep's base scenario with it before any scenario exists; every other
+    fixed value is checked when the base is built.  The grid is monotone and
+    the accepted values an interval, so a bisection finds the point in
+    O(log steps) evaluations."""
     slot = _slot(parameter)
     altitude = parameter in (SweepParameter.AIR_ALTITUDE, SweepParameter.SPACE_ALTITUDE)
     values = [None, None, air_altitude_km, space_altitude_km] if altitude else [None] * 4
@@ -78,31 +98,33 @@ def row_check(parameter: SweepParameter, air_altitude_km: float | None,
     try:
         _check_values(*values)
     except SaginDomeError:
-        return None
-
-    def passes(value: float) -> bool:
-        values[slot] = value
-        try:
-            _check_values(*values)
-        except SaginDomeError:
-            return False
-        return True
-    return passes
+        return low
+    below, above = _interval(slot, values)
+    point = grid_point(low, high, steps, scale)
+    index = bisect_right(range(steps), below, key=point)
+    if index < steps and (value := point(index)) < above:
+        return value
+    return low
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate coverage at each grid point, in grid order."""
     base, values, slot = spec.base, _values(spec.base), _slot(spec.parameter)
+    values[slot] = None
+    _check_values(*values)
+    low, high = _interval(slot, values)
     grid = array("d", grid_values(spec.low, spec.high, spec.steps, spec.scale))
     phi, area, tangent, errors = array("d"), array("d"), [], {}
+    failed = math.nan, math.nan, math.nan, math.nan, False
     for index, value in enumerate(grid):
         values[slot] = value
-        try:
-            _check_values(*values)
-            row = _resolve(base, values)
-        except SaginDomeError as exc:
-            errors[index] = str(exc)
-            row = math.nan, math.nan, math.nan, math.nan, False
+        if low < value < high:
+            try:
+                row = _resolve(base, values)
+            except SaginDomeError as exc:
+                errors[index], row = str(exc), failed
+        else:
+            errors[index], row = str(_fault(slot, value, values)), failed
         phi.append(row[2])
         area.append(row[3])
         tangent.append(row[4])

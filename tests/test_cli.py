@@ -69,6 +69,19 @@ def a2s_air_sweep(space_altitude: str) -> list[str]:
             "--to", "10"]
 
 
+def count_grid_points(monkeypatch) -> list[int]:
+    """The index of every grid point evaluated from now on, in order."""
+    evaluated = []
+    grid_point = sweeps.grid_point
+
+    def counting(*args):
+        point = grid_point(*args)
+        return lambda index: evaluated.append(index) or point(index)
+
+    monkeypatch.setattr(sweeps, "grid_point", counting)
+    return evaluated
+
+
 def run_cli(argv, capsys):
     try:
         code = main(argv)
@@ -329,18 +342,30 @@ class TestSweepCommand:
     ])
     def test_invalid_other_altitude_searches_no_grid(self, altitude, reason, capsys,
                                                      monkeypatch):
-        grid_values = sweeps.grid_values
-
-        def at_most_one(*args):
-            values = grid_values(*args)
-            yield next(values)
-            raise AssertionError("the base search must not walk the grid")
-
-        monkeypatch.setattr(sweeps, "grid_values", at_most_one)
+        evaluated = count_grid_points(monkeypatch)
         code, out, err = run_cli(["sweep", *a2s_air_sweep(altitude), "--steps", "1000000"],
                                  capsys)
         assert code == 2 and out == ""
         assert err == f"error: {reason}\n"
+        assert evaluated == []
+
+    @pytest.mark.parametrize("argv, reason", [
+        # Elevations below 0 and air altitudes above the space layer: no grid
+        # value is valid, so the scenario is parsed at the grid start.
+        (["--scenario", "s2g", "--space-altitude-km", "600", "--param", "min_elevation",
+          "--from", "-20", "--to", "-10"],
+         "min_elevation_rad must lie in [0, pi/2], got -0.3490658503988659"),
+        ([*a2s_air_sweep("600")[:-4], "--from", "700", "--to", "800"],
+         "air_altitude_km=700.0 must be below space_altitude_km=600.0"),
+    ], ids=["s2g-elevation", "a2s-air"])
+    def test_base_search_bisects_the_grid(self, argv, reason, capsys, monkeypatch):
+        # A grid with no valid value ends as at 3 steps, after O(log steps)
+        # grid points, not a walk over all of them.
+        assert run_cli(["sweep", *argv, "--steps", "3"], capsys) == (2, "", f"error: {reason}\n")
+        evaluated = count_grid_points(monkeypatch)
+        code, out, err = run_cli(["sweep", *argv, "--steps", str(MAX_SWEEP_STEPS)], capsys)
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+        assert 0 < len(evaluated) <= 2 * math.ceil(math.log2(MAX_SWEEP_STEPS))
 
     @pytest.mark.parametrize("steps", [str(MAX_SWEEP_STEPS + 1), "10" + "0" * 15])
     @pytest.mark.parametrize("scale", ["linear", "log"])

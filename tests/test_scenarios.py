@@ -8,6 +8,8 @@ reference figures at 0.5%.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagindome import (
     AntennaConfig,
@@ -19,6 +21,8 @@ from sagindome import (
     coverage,
     validate,
 )
+from sagindome.errors import SaginDomeError
+from sagindome.scenarios import _check_values, _fault, _interval
 from conftest import AREA_RTOL, PUBLISHED_AREAS_KM2, layer_radii, reference_spec
 
 # Oracle-route areas at the reference configurations with the default
@@ -227,3 +231,73 @@ class TestCoverage:
         assert dome.tangent_limited is True
         assert dome.vertex_angle_rad == pytest.approx(
             math.acos(6371.0 / 6421.0), rel=1e-12)
+
+
+def _reference_check(frequency, elevation, air, space):
+    """The value checks as ``ScenarioSpec`` wrote them out before they were
+    stated as intervals: their classes, texts and order."""
+    for name, value in (("carrier_frequency_hz", frequency), ("min_elevation_rad", elevation),
+                        ("air_altitude_km", air), ("space_altitude_km", space)):
+        if value is None:
+            continue
+        if name == "min_elevation_rad":
+            if not 0.0 <= value <= 0.5 * math.pi:
+                raise InvalidParameterError(
+                    f"min_elevation_rad must lie in [0, pi/2], got {value!r}")
+            continue
+        if not value > 0.0:
+            raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+        if value == math.inf:
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    if air is not None and space is not None and air >= space:
+        raise InvalidGeometryError(
+            f"air_altitude_km={air!r} must be below space_altitude_km={space!r}")
+
+
+def _outcome(check, values):
+    try:
+        check(*values)
+    except SaginDomeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_EDGES = (-0.0, 0.0, 0.5 * math.pi, math.inf, -math.inf, math.nan, 600.0, 5e-324, -5e-324)
+_VALUES = st.one_of(st.none(), st.sampled_from(_EDGES), st.floats(),
+                    st.floats(-1.0, 2.0), st.floats(0.0, 1e5))
+
+
+class TestValueInterval:
+    """Each value's interval, given the others, and ``_check_values`` are one
+    rule: they accept the same values and name a fault in the same words."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.lists(_VALUES, min_size=4, max_size=4))
+    def test_check_values_keeps_its_texts_and_order(self, values):
+        assert _outcome(_check_values, values) == _outcome(_reference_check, values)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.integers(0, 3), st.lists(_VALUES, min_size=4, max_size=4), st.data())
+    def test_interval_is_the_value_check(self, slot, values, data):
+        values[slot] = None
+        fixed = _outcome(_check_values, values)
+        if fixed is None:
+            low, high = _interval(slot, values)
+            # The ends, their neighbouring floats and an altitude equal to
+            # the other layer's, or any value.
+            edges = [math.nextafter(end, toward) for end in (low, high)
+                     for toward in (-math.inf, math.inf)]
+            value = data.draw(st.one_of(st.sampled_from([low, high, *edges]), _VALUES.filter(
+                lambda value: value is not None)))
+        else:
+            value = data.draw(_VALUES.filter(lambda value: value is not None))
+        values[slot] = value
+        outcome = _outcome(_check_values, values)
+        if fixed is not None:
+            # A fixed value that fails on its own fails with any swept value.
+            assert outcome is not None
+            return
+        assert (outcome is None) == (low < value < high)
+        if outcome is not None:
+            fault = _fault(slot, value, values)
+            assert outcome == (type(fault), str(fault))

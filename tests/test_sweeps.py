@@ -25,7 +25,8 @@ from sagindome import (
 from sagindome.cli import main
 from sagindome.errors import SaginDomeError
 from sagindome.scenarios import MAX_SWEEP_STEPS
-from sagindome.sweeps import grid_values
+from sagindome.scenarios import _check_values, _slot
+from sagindome.sweeps import base_value, grid_values
 from conftest import reference_spec, with_parameter
 
 
@@ -125,6 +126,55 @@ class TestGridValues:
         grid = list(grid_values(low, high, steps, SweepScale.LOGARITHMIC))
         assert grid[0] == low and grid[-1] == high
         assert all(low <= value <= high for value in grid)
+
+
+def _walked_base(parameter, air, space, low, high, steps, scale):
+    """The first grid value that passes the value check given the other
+    layer's fixed altitude, found by trying each in turn."""
+    values = [None, None, air, space]
+    if parameter not in (SweepParameter.AIR_ALTITUDE, SweepParameter.SPACE_ALTITUDE):
+        values = [None] * 4
+    slot = _slot(parameter)
+    values[slot] = None
+    try:
+        _check_values(*values)
+    except SaginDomeError:
+        return low
+    for value in grid_values(low, high, steps, scale):
+        values[slot] = value
+        try:
+            _check_values(*values)
+        except SaginDomeError:
+            continue
+        return value
+    return low
+
+
+_ALTITUDES = st.one_of(st.none(), st.sampled_from([math.nan, -600.0, 0.0, 600.0]),
+                       st.floats(-1e3, 1e5))
+
+
+class TestBaseValue:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.sampled_from(list(SweepParameter)), _ALTITUDES, _ALTITUDES,
+           st.floats(-2.0, 2.0), st.floats(1e-9, 3.0), st.integers(2, 60),
+           st.sampled_from(list(SweepScale)))
+    @example(SweepParameter.MIN_ELEVATION, None, None, -0.0, 2.0, 3, SweepScale.LINEAR)
+    @example(SweepParameter.SPACE_ALTITUDE, 600.0, None, 500.0 / 600.0, 0.25, 5,
+             SweepScale.LOGARITHMIC)
+    def test_bisection_finds_the_first_valid_grid_value(self, parameter, air, space, start,
+                                                        span, steps, scale):
+        # Grids around the end of the swept value's interval: 0, pi/2 or the
+        # other layer's altitude.
+        other = {SweepParameter.AIR_ALTITUDE: space, SweepParameter.SPACE_ALTITUDE: air}
+        unit = other.get(parameter) or 1.0
+        unit = abs(unit) if math.isfinite(unit) and unit else 1.0
+        low, high = unit * start, unit * (start + span)
+        if scale is SweepScale.LOGARITHMIC:
+            low, high = abs(low) + 1e-300, abs(low) + unit * span
+        expected = _walked_base(parameter, air, space, low, high, steps, scale)
+        found = base_value(parameter, air, space, low, high, steps, scale)
+        assert (found, math.copysign(1.0, found)) == (expected, math.copysign(1.0, expected))
 
 
 # A 175-degree beam, tangent-limited above a few km of receiver altitude.
