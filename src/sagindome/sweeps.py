@@ -64,8 +64,10 @@ def grid_point(low: float, high: float, steps: int, scale: SweepScale) -> Callab
     exponent = grid_point(math.log10(low), math.log10(high), steps, SweepScale.LINEAR)
 
     def point(index: int) -> float:
-        if index == 0 or index == last:
-            return high if index else low
+        if index == 0:
+            return low
+        if index == last:
+            return high
         try:
             value = 10.0 ** exponent(index)
         except OverflowError:
@@ -92,8 +94,8 @@ def base_value(parameter: SweepParameter, air_altitude_km: float | None,
     the accepted values an interval, so a bisection finds the point in
     O(log steps) evaluations."""
     slot = _slot(parameter)
-    altitude = parameter in (SweepParameter.AIR_ALTITUDE, SweepParameter.SPACE_ALTITUDE)
-    values = [None, None, air_altitude_km, space_altitude_km] if altitude else [None] * 4
+    # The altitudes take the last two slots.
+    values = [None, None, air_altitude_km, space_altitude_km] if slot > 1 else [None] * 4
     values[slot] = None
     try:
         _check_values(*values)

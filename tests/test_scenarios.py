@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sagindome import (
     AntennaConfig,
     Direction,
+    DomeGeometry,
     InvalidGeometryError,
     InvalidParameterError,
     Scenario,
@@ -21,6 +22,7 @@ from sagindome import (
     coverage,
     validate,
 )
+from sagindome import geometry, scenarios
 from sagindome.errors import SaginDomeError
 from sagindome.scenarios import _check_values, _fault, _interval
 from conftest import AREA_RTOL, PUBLISHED_AREAS_KM2, layer_radii, reference_spec
@@ -190,6 +192,19 @@ class TestCoverage:
         expected = 2.0 * math.pi * r_t * r_t * (1.0 - dome.delta)
         assert dome.area_km2 == pytest.approx(expected, rel=1e-9)
         assert dome.delta == pytest.approx(math.cos(dome.vertex_angle_rad), abs=1e-15)
+
+    def test_cap_area_computed_once(self, any_reference_spec, monkeypatch):
+        # The dome is built from the values _resolve checked and computed, so
+        # it is the public constructor's dome without a second cap area.
+        calls = []
+        for module in (scenarios, geometry):
+            monkeypatch.setattr(module, "_cap_area", lambda *args, body=module._cap_area:
+                                calls.append(args) or body(*args))
+        dome = coverage(any_reference_spec)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert dome == DomeGeometry(dome.transmitter_radius_km, dome.receiver_radius_km,
+                                    dome.vertex_angle_rad, dome.tangent_limited)
 
     def test_area_bounded_by_sphere_and_positive(self, any_reference_spec):
         dome = coverage(any_reference_spec)
