@@ -202,7 +202,6 @@ class TestCoverage:
                                 calls.append(args) or body(*args))
         dome = coverage(any_reference_spec)
         assert len(calls) == 1
-        monkeypatch.undo()
         assert dome == DomeGeometry(dome.transmitter_radius_km, dome.receiver_radius_km,
                                     dome.vertex_angle_rad, dome.tangent_limited)
 
@@ -296,22 +295,19 @@ class TestValueInterval:
     def test_interval_is_the_value_check(self, slot, values, data):
         values[slot] = None
         fixed = _outcome(_check_values, values)
-        if fixed is None:
-            low, high = _interval(slot, values)
-            # The ends, their neighbouring floats and an altitude equal to
-            # the other layer's, or any value.
-            edges = [math.nextafter(end, toward) for end in (low, high)
-                     for toward in (-math.inf, math.inf)]
-            value = data.draw(st.one_of(st.sampled_from([low, high, *edges]), _VALUES.filter(
-                lambda value: value is not None)))
-        else:
-            value = data.draw(_VALUES.filter(lambda value: value is not None))
-        values[slot] = value
-        outcome = _outcome(_check_values, values)
+        any_value = _VALUES.filter(lambda value: value is not None)
         if fixed is not None:
             # A fixed value that fails on its own fails with any swept value.
-            assert outcome is not None
+            values[slot] = data.draw(any_value)
+            assert _outcome(_check_values, values) is not None
             return
+        low, high = _interval(slot, values)
+        # The ends and their neighbouring floats (an altitude equal to the
+        # other layer's among them), or any value.
+        ends = [low, high, *(math.nextafter(end, toward) for end in (low, high)
+                             for toward in (-math.inf, math.inf))]
+        value = values[slot] = data.draw(st.one_of(st.sampled_from(ends), any_value))
+        outcome = _outcome(_check_values, values)
         assert (outcome is None) == (low < value < high)
         if outcome is not None:
             fault = _fault(slot, value, values)

@@ -24,8 +24,7 @@ from sagindome import (
 )
 from sagindome.cli import main
 from sagindome.errors import SaginDomeError
-from sagindome.scenarios import MAX_SWEEP_STEPS
-from sagindome.scenarios import _check_values, _slot
+from sagindome.scenarios import MAX_SWEEP_STEPS, _check_values, _slot
 from sagindome.sweeps import base_value, grid_values
 from conftest import reference_spec, with_parameter
 
@@ -131,10 +130,9 @@ class TestGridValues:
 def _walked_base(parameter, air, space, low, high, steps, scale):
     """The first grid value that passes the value check given the other
     layer's fixed altitude, found by trying each in turn."""
-    values = [None, None, air, space]
-    if parameter not in (SweepParameter.AIR_ALTITUDE, SweepParameter.SPACE_ALTITUDE):
-        values = [None] * 4
     slot = _slot(parameter)
+    altitude = parameter in (SweepParameter.AIR_ALTITUDE, SweepParameter.SPACE_ALTITUDE)
+    values = [None, None, air, space] if altitude else [None] * 4
     values[slot] = None
     try:
         _check_values(*values)
@@ -167,8 +165,8 @@ class TestBaseValue:
         # Grids around the end of the swept value's interval: 0, pi/2 or the
         # other layer's altitude.
         other = {SweepParameter.AIR_ALTITUDE: space, SweepParameter.SPACE_ALTITUDE: air}
-        unit = other.get(parameter) or 1.0
-        unit = abs(unit) if math.isfinite(unit) and unit else 1.0
+        unit = other.get(parameter)
+        unit = abs(unit) if unit and math.isfinite(unit) else 1.0
         low, high = unit * start, unit * (start + span)
         if scale is SweepScale.LOGARITHMIC:
             low, high = abs(low) + 1e-300, abs(low) + unit * span
