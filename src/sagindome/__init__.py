@@ -10,7 +10,6 @@ from .errors import (
     NumericDomainError,
     OutputError,
     SaginDomeError,
-    UnsupportedBranchError,
 )
 from .geometry import (
     CLAMP_TOLERANCE,
@@ -23,9 +22,7 @@ from .geometry import (
     full_sphere_count,
     half_power_beamwidth,
     vertex_angle_downlink,
-    vertex_angle_downlink_oracle,
     vertex_angle_uplink,
-    vertex_angle_uplink_oracle,
 )
 from .io import Descriptor, load_descriptor, parse_descriptor
 from .scenarios import (
@@ -74,9 +71,8 @@ __all__ = [
     "InvalidParameterError", "LIGHT_SPEED_M_PER_S", "Layer", "NumericDomainError",
     "OutputError", "RangeViolation", "SaginDomeError", "SampleConfig", "SampleMode",
     "Scenario", "ScenarioSpec", "SweepParameter", "SweepScale", "SweepSpec", "SweepTable",
-    "Topology", "UnsupportedBranchError", "cap_area", "coverage", "expected_count",
-    "full_sphere_count", "generate", "half_power_beamwidth", "load_descriptor",
-    "make_rng", "parse_descriptor", "poisson_count", "run_sweep", "sample_cap_angles",
-    "validate", "vertex_angle_downlink", "vertex_angle_downlink_oracle",
-    "vertex_angle_uplink", "vertex_angle_uplink_oracle", "yaw_pitch_matrix",
+    "Topology", "cap_area", "coverage", "expected_count", "full_sphere_count",
+    "generate", "half_power_beamwidth", "load_descriptor", "make_rng",
+    "parse_descriptor", "poisson_count", "run_sweep", "sample_cap_angles", "validate",
+    "vertex_angle_downlink", "vertex_angle_uplink", "yaw_pitch_matrix",
 ]

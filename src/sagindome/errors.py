@@ -17,10 +17,6 @@ class NumericDomainError(SaginDomeError, ArithmeticError):
     """An inverse-trig argument left [-1, 1] by more than the clamp tolerance."""
 
 
-class UnsupportedBranchError(SaginDomeError, ValueError):
-    """The inputs select a geometric branch the called routine does not model."""
-
-
 class DescriptorError(SaginDomeError, ValueError):
     """A scenario descriptor is malformed or inconsistent."""
 

@@ -2,9 +2,8 @@
 
 A receiver observing a sphere of transmitters covers a spherical cap, whose
 Earth-central vertex angle follows from the receiver's beamwidth (uplink) or
-minimum elevation angle (downlink).  This module holds those closed forms,
-the difference-of-angles identities used as independent cross-checks, and
-the expected node counts of a cap and of a whole sphere.
+minimum elevation angle (downlink).  This module holds those closed forms
+and the expected node counts of a cap and of a whole sphere.
 
 Each closed form is a public function that checks its arguments and a
 private body (``_vertex_angle_uplink``, ``_vertex_angle_downlink``,
@@ -25,7 +24,6 @@ from .errors import (
     InvalidGeometryError,
     InvalidParameterError,
     NumericDomainError,
-    UnsupportedBranchError,
 )
 
 DEFAULT_EARTH_RADIUS_KM = 6371.0
@@ -55,7 +53,7 @@ def _require_vertex_angle(vertex_angle_rad: float) -> None:
 
 
 def _check_uplink_domain(beamwidth_rad: float, r_t_km: float, r_r_km: float) -> None:
-    """The domain of ``vertex_angle_uplink`` and of its oracle."""
+    """The domain of ``vertex_angle_uplink``."""
     _require_positive("r_t_km", r_t_km)
     if r_t_km >= r_r_km:
         raise InvalidGeometryError(
@@ -66,7 +64,7 @@ def _check_uplink_domain(beamwidth_rad: float, r_t_km: float, r_r_km: float) -> 
 
 
 def _check_downlink_domain(elevation_rad: float, r_t_km: float, r_r_km: float) -> None:
-    """The domain of ``vertex_angle_downlink`` and of its oracle."""
+    """The domain of ``vertex_angle_downlink``."""
     _require_positive("r_r_km", r_r_km)
     if r_r_km >= r_t_km:
         raise InvalidGeometryError(
@@ -243,35 +241,6 @@ def _cap_area(r_t_km: float, vertex_angle_rad: float) -> float:
     """``cap_area`` of arguments inside its domain, unchecked."""
     half_sin = math.sin(0.5 * vertex_angle_rad)
     return 4.0 * math.pi * r_t_km * r_t_km * half_sin * half_sin
-
-
-def vertex_angle_uplink_oracle(beamwidth_rad: float, r_t_km: float,
-                               r_r_km: float) -> float:
-    """Uplink vertex angle via the law-of-sines difference form.
-
-    Returns arcsin((R_r/R_t) sin(theta/2)) - theta/2.  Exists solely as an
-    independent cross-check of ``vertex_angle_uplink``; the tangent-limited
-    branch is out of its domain.
-    """
-    _check_uplink_domain(beamwidth_rad, r_t_km, r_r_km)
-    half = 0.5 * beamwidth_rad
-    if half > math.asin(r_t_km / r_r_km):
-        raise UnsupportedBranchError(
-            "tangent-limited inputs are outside the difference-form derivation")
-    sine = _clamp_cosine((r_r_km / r_t_km) * math.sin(half), "uplink oracle sine")
-    return math.asin(sine) - half
-
-
-def vertex_angle_downlink_oracle(elevation_rad: float, r_t_km: float,
-                                 r_r_km: float) -> float:
-    """Downlink vertex angle via the difference form arccos((R_r/R_t) cos(alpha)) - alpha.
-
-    Independent cross-check of ``vertex_angle_downlink``.
-    """
-    _check_downlink_domain(elevation_rad, r_t_km, r_r_km)
-    cosine = _clamp_cosine((r_r_km / r_t_km) * math.cos(elevation_rad),
-                           "downlink oracle cosine")
-    return math.acos(cosine) - elevation_rad
 
 
 def expected_count(dome: DomeGeometry, density_per_km2: float) -> tuple[float, int]:

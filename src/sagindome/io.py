@@ -38,10 +38,12 @@ _KNOWN_KEYS = frozenset({
 SWEEP_CSV_HEADER = "param_value,vertex_angle_rad,area_km2,tangent_limited"
 POINTS_CSV_HEADER = "x_km,y_km,z_km"
 
-# Rows formatted by one % call.  Large enough that the per-block Python
-# overhead vanishes, small enough that a block of points (about 0.9 MB of
-# text plus its tuple of floats) stays small next to the whole CSV.
-_CHUNK_ROWS = 16384
+# Rows formatted in one block, of points or of a sweep.  Large enough that
+# the per-block Python overhead vanishes (a 2e5-point CSV took the same time
+# at 4 096, 8 192 and 16 384 rows), small enough that a block of points (its
+# text and the kernel's arrays, about 2 MB at the peak) stays small next to
+# the whole CSV.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -197,19 +199,12 @@ def dumps(payload: object, indent: int = 0) -> str:
     return json.dumps(str(payload))
 
 
-def _csv_chunks(header: str, row_template: str, rows: int,
-                flatten: Callable[[slice], list]) -> Iterator[str]:
-    """The header line, then the rows as text, _CHUNK_ROWS rows at a time.
-
-    Each block is one ``%`` over ``row_template`` repeated once per row;
-    ``flatten`` turns the slice of a block's rows into the flat list of
-    their values.  ``"%.17g" % x`` and ``format_real(x)`` make the same C
-    call (``PyOS_double_to_string(x, 'g', 17, 0)``), so the text is the same.
-    """
+def _csv_chunks(header: str, rows: int, block_text: Callable[[slice], str]) -> Iterator[str]:
+    """The header line, then the rows as text, _CHUNK_ROWS rows at a time;
+    ``block_text`` writes the slice of a block's rows."""
     yield header + "\n"
     for start in range(0, rows, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, rows)
-        yield (row_template * (stop - start)) % tuple(flatten(slice(start, stop)))
+        yield block_text(slice(start, min(start + _CHUNK_ROWS, rows)))
 
 
 def sweep_csv_chunks(sweep: "SweepTable") -> Iterator[str]:
@@ -217,25 +212,35 @@ def sweep_csv_chunks(sweep: "SweepTable") -> Iterator[str]:
     separator).
 
     Failed grid points keep their parameter value and carry nan in the
-    numeric columns so plotting pipelines skip them naturally.
+    numeric columns so plotting pipelines skip them naturally.  Each block
+    is one ``%`` over the row template repeated once per row.  ``"%.17g" % x``
+    and ``format_real(x)`` make the same C call
+    (``PyOS_double_to_string(x, 'g', 17, 0)``), so the text is the same.
     """
-    def flatten(block: slice) -> list:
-        values = [None] * (4 * (block.stop - block.start))
+    def block_text(block: slice) -> str:
+        rows = block.stop - block.start
+        values = [None] * (4 * rows)
         values[0::4] = sweep.parameter_value[block]
         values[1::4] = sweep.vertex_angle_rad[block]
         values[2::4] = sweep.area_km2[block]
         values[3::4] = ["true" if flag else "false"
                         for flag in sweep.tangent_limited[block]]
-        return values
+        return ("%.17g,%.17g,%.17g,%s\n" * rows) % tuple(values)
 
-    return _csv_chunks(SWEEP_CSV_HEADER, "%.17g,%.17g,%.17g,%s\n",
-                       len(sweep.parameter_value), flatten)
+    return _csv_chunks(SWEEP_CSV_HEADER, len(sweep.parameter_value), block_text)
 
 
 def points_csv_chunks(topology: "Topology") -> Iterator[str]:
-    """Topology points as CSV text in chunks, one x,y,z row per point."""
-    return _csv_chunks(POINTS_CSV_HEADER, "%.17g,%.17g,%.17g\n", len(topology.points),
-                       lambda block: topology.points[block].ravel().tolist())
+    """Topology points as CSV text in chunks, one x,y,z row per point.
+
+    Each block is written by ``_csvtext.rows_text``, in the bytes of
+    ``format_real``.  That module needs numpy, so it is imported here, not
+    with this one.
+    """
+    from ._csvtext import rows_text
+
+    return _csv_chunks(POINTS_CSV_HEADER, len(topology.points),
+                       lambda block: rows_text(topology.points[block]))
 
 
 def write_text_file(path: str, chunks: Iterable[str]) -> None:

@@ -1,8 +1,14 @@
 """Seeded stochastic transmitter generation on a coverage dome.
 
 Reproducibility contract: a fixed (dome, config) pair yields bit-identical
-output across runs and platforms.  Uniform variates come from numpy's PCG64
-bit generator through ``Generator.random``; the Poisson count is drawn by
+output across runs on one machine, and on any machine with the same numpy
+bit generator, libm, numpy SIMD dispatch and BLAS kernel.  Two steps depend
+on the CPU: area-uniform polar angles go through ``np.arcsin``, which numpy
+dispatches by CPU features, and the rotation onto the receiver direction
+through a BLAS matrix product, whose kernel OpenBLAS picks by CPU; either
+can move the last bit of a coordinate on another CPU.  Uniform variates
+come from numpy's PCG64 bit generator through ``Generator.random``; the
+Poisson count is drawn by
 this module's own samplers (sequential inversion below mean 30, Hormann's
 PTRS transformed rejection above) so the stream never depends on numpy's
 distribution internals.  ``generate`` always consumes the stream in the

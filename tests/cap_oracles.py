@@ -1,11 +1,45 @@
-"""Test oracles on the transmitter sphere: the cap centre of a receiver
-direction, and the angle between point vectors and that centre."""
+"""Test oracles: the difference-of-angles forms of the vertex angle, which
+share no code with the arccos(delta) closed forms they check, and, on the
+transmitter sphere, the cap centre of a receiver direction and the angle
+between point vectors and that centre."""
 
 import math
 
 import numpy as np
 
 from sagindome.errors import InvalidParameterError
+from sagindome.geometry import _check_downlink_domain, _check_uplink_domain, _clamp_cosine
+
+
+class UnsupportedBranchError(ValueError):
+    """The inputs select a geometric branch the called oracle does not model."""
+
+
+def vertex_angle_uplink_oracle(beamwidth_rad: float, r_t_km: float,
+                               r_r_km: float) -> float:
+    """Uplink vertex angle via the law-of-sines difference form.
+
+    Returns arcsin((R_r/R_t) sin(theta/2)) - theta/2, on the domain of
+    ``vertex_angle_uplink``; the tangent-limited branch is out of its domain.
+    """
+    _check_uplink_domain(beamwidth_rad, r_t_km, r_r_km)
+    half = 0.5 * beamwidth_rad
+    if half > math.asin(r_t_km / r_r_km):
+        raise UnsupportedBranchError(
+            "tangent-limited inputs are outside the difference-form derivation")
+    sine = _clamp_cosine((r_r_km / r_t_km) * math.sin(half), "uplink oracle sine")
+    return math.asin(sine) - half
+
+
+def vertex_angle_downlink_oracle(elevation_rad: float, r_t_km: float,
+                                 r_r_km: float) -> float:
+    """Downlink vertex angle via the difference form
+    arccos((R_r/R_t) cos(alpha)) - alpha, on the domain of
+    ``vertex_angle_downlink``."""
+    _check_downlink_domain(elevation_rad, r_t_km, r_r_km)
+    cosine = _clamp_cosine((r_r_km / r_t_km) * math.cos(elevation_rad),
+                           "downlink oracle cosine")
+    return math.acos(cosine) - elevation_rad
 
 
 def cap_center_direction(rx_azimuth_rad: float, rx_polar_rad: float) -> np.ndarray:

@@ -30,12 +30,15 @@ from sagindome import (
     poisson_count,
     sample_cap_angles,
     vertex_angle_downlink,
-    vertex_angle_downlink_oracle,
     vertex_angle_uplink,
-    vertex_angle_uplink_oracle,
 )
 from sagindome.sweeps import SweepParameter, SweepSpec, run_sweep
-from cap_oracles import angular_distance, cap_center_direction
+from cap_oracles import (
+    angular_distance,
+    cap_center_direction,
+    vertex_angle_downlink_oracle,
+    vertex_angle_uplink_oracle,
+)
 from conftest import reference_spec
 from test_pointprocess import _poisson_chi_square_pvalue
 

@@ -10,9 +10,10 @@ an empty working directory of its own.
 A digest that moves is a contract change.  It must be declared in
 CHANGES.md; the failing test prints the whole new table, which then replaces
 the file, so the change shows as a diff of that one file.  The digests pin
-this platform's libm (``sin``, ``cos``, ``acos``): a runner that disagrees is
-a finding against the "across platforms" claim, not a reason to loosen the
-comparison.
+this platform's libm (``sin``, ``cos``, ``acos``), numpy SIMD dispatch
+(``np.arcsin``) and BLAS kernel (the rotation of a sample): a runner that
+disagrees is a finding against the byte contract, not a reason to loosen
+the comparison.
 """
 
 import contextlib

@@ -21,15 +21,17 @@ from sagindome import (
     InvalidParameterError,
     LIGHT_SPEED_M_PER_S,
     NumericDomainError,
-    UnsupportedBranchError,
     cap_area,
     half_power_beamwidth,
     vertex_angle_downlink,
-    vertex_angle_downlink_oracle,
     vertex_angle_uplink,
-    vertex_angle_uplink_oracle,
 )
 from sagindome.geometry import _clamp_cosine, _clamp_nonnegative
+from cap_oracles import (
+    UnsupportedBranchError,
+    vertex_angle_downlink_oracle,
+    vertex_angle_uplink_oracle,
+)
 
 # The frozen textbook beamwidths below take c = 3.0e8 m/s; rescaling by
 # this ratio gives the model's width at that rounded light speed.

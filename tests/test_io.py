@@ -27,6 +27,7 @@ from sagindome import (
     load_descriptor,
     parse_descriptor,
 )
+from sagindome._csvtext import rows_text
 from sagindome.cli import main
 from sagindome.io import (
     _CHUNK_ROWS,
@@ -289,12 +290,14 @@ SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16]
 
 
+def per_value_rows(values) -> str:
+    """Rows of values as CSV text, one ``format_real`` call per value."""
+    return "".join(",".join(map(format_real, row)) + "\n" for row in values.tolist())
+
+
 def per_value_points_csv(points) -> str:
     """The CSV as written one ``format_real`` call per value."""
-    lines = [POINTS_CSV_HEADER]
-    for x, y, z in points:
-        lines.append(f"{format_real(x)},{format_real(y)},{format_real(z)}")
-    return "\n".join(lines) + "\n"
+    return POINTS_CSV_HEADER + "\n" + per_value_rows(points)
 
 
 def per_value_sweep_csv(rows) -> str:
@@ -325,7 +328,13 @@ def special_points(n: int) -> np.ndarray:
     return values.reshape(n, 3)
 
 
-ROW_COUNTS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 7]
+# Row counts on and next to block boundaries: _CHUNK_ROWS divides 16 384.
+BOUNDARY_ROWS = 16384
+ROW_COUNTS = [0, 1, BOUNDARY_ROWS - 1, BOUNDARY_ROWS, BOUNDARY_ROWS + 1, 3 * BOUNDARY_ROWS + 7]
+
+
+def test_row_counts_sit_on_block_boundaries():
+    assert BOUNDARY_ROWS % _CHUNK_ROWS == 0 and BOUNDARY_ROWS > _CHUNK_ROWS
 
 
 class TestChunkedCsv:
@@ -371,6 +380,63 @@ class TestChunkedCsv:
         assert "".join(sweep_csv_chunks(table_of(fields))) == per_value_sweep_csv(fields)
 
 
+def _exact_range_edges() -> list[float]:
+    """Values whose text is easy to get wrong in the integer kernel and at
+    its edges, with both signs."""
+    powers = [float(10 ** k) for k in range(17)]
+    edges = [*powers, *np.nextafter(powers, 0.0).tolist(),
+             *np.nextafter(powers, math.inf).tolist(),
+             99999999999999.995,     # parses to 1e14: its text carries into the next decade
+             123456789012345.125,    # a tie at the 17th digit, rounded to the even 2
+             123456789012345.375,    # a tie rounded up to the even 8
+             7000.0, 123456789012345.0,  # integers
+             999999999999999.875,        # the largest double below 1e15
+             0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             0.5, 1.7976931348623157e308, math.inf]
+    return [*edges, *(-value for value in edges), math.nan]
+
+
+class TestRowsText:
+    """The array kernel behind the points CSV against ``format_real``."""
+
+    def test_edges(self):
+        values = np.array(_exact_range_edges()).reshape(-1, 1)
+        text = rows_text(values)
+        assert text == per_value_rows(values)
+        lines = text.split("\n")
+        assert "100000000000000" in lines and "123456789012345.12" in lines
+        assert "123456789012345.38" in lines and "-7000" in lines
+        assert "-0" in lines and "nan" in lines and "-inf" in lines
+
+    def test_bulk_draw_in_every_decade(self):
+        # 1.2e6 doubles with random 52-bit mantissas and binary exponents 0
+        # to 49, so every decade of [1, 1e15) and the values above it (to
+        # 2**50) are drawn; random signs.
+        rng = np.random.default_rng(170017)
+        bits = rng.integers(0, 2 ** 52, 1_200_000, dtype=np.uint64)
+        bits |= rng.integers(1023, 1073, bits.size, dtype=np.uint64) << np.uint64(52)
+        bits |= rng.integers(0, 2, bits.size, dtype=np.uint64) << np.uint64(63)
+        values = bits.view(np.float64).reshape(-1, 3)
+        assert rows_text(values) == per_value_rows(values)
+
+    @pytest.mark.parametrize("decade", range(15))
+    def test_ties_round_half_to_even(self, decade):
+        # odd / 2**(17 - E) lies halfway between two 17-digit decimals of
+        # decade E; each such value is exact in a double for E <= 15.
+        rng = np.random.default_rng(decade)
+        scale = 2 ** (17 - decade)
+        odd = 2 * rng.integers(10 ** decade * scale // 2, 10 ** (decade + 1) * scale // 2,
+                               3000) + 1
+        values = (odd / scale).reshape(-1, 3)
+        assert rows_text(values) == per_value_rows(values)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                  elements=st.one_of(st.floats(), st.floats(-1e15, 1e15))))
+    def test_property(self, values):
+        assert rows_text(values) == per_value_rows(values)
+
+
 class TestCsvFiles:
     # sha256 of the acceptance criterion 10 sample CSV in both modes, as
     # written before CSV output was chunked.  A change here is a change of
@@ -392,6 +458,25 @@ class TestCsvFiles:
         capsys.readouterr()
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == self.CRITERION_10_SHA256[mode]
+
+    @pytest.mark.parametrize("mode", [mode.value for mode in SampleMode])
+    def test_sample_file_reads_back_bit_for_bit(self, mode, tmp_path, capsys):
+        descriptor = tmp_path / "scenario.json"
+        descriptor.write_text(json.dumps({
+            "scenario": "s2g", "space_altitude_km": 600, "min_elevation_deg": 10,
+            "density_per_km2": 2e-3, "rx_azimuth_deg": 137, "rx_polar_deg": 63,
+            "seed": 1717, "mode": mode}))
+        target = tmp_path / "points.csv"
+        assert main(["sample", "--descriptor", str(descriptor), "--output", str(target)]) == 0
+        capsys.readouterr()
+        loaded = load_descriptor(str(descriptor))
+        points = generate(coverage(loaded.spec), loaded.sample_config()).points
+        header, *lines = target.read_text().splitlines()
+        assert header == POINTS_CSV_HEADER
+        read = np.array([[float(value) for value in line.split(",")] for line in lines])
+        assert len(points) > 3 * _CHUNK_ROWS
+        assert read.shape == points.shape
+        assert (read.view(np.uint64) == points.view(np.uint64)).all()
 
     def test_string_or_chunks(self, tmp_path):
         target = tmp_path / "out.csv"

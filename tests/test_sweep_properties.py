@@ -26,11 +26,10 @@ from sagindome import (
     coverage,
     half_power_beamwidth,
     run_sweep,
-    vertex_angle_downlink_oracle,
-    vertex_angle_uplink_oracle,
 )
 from sagindome.scenarios import parameter_applicable
 from sagindome.sweeps import grid_values
+from cap_oracles import vertex_angle_downlink_oracle, vertex_angle_uplink_oracle
 from conftest import layer_radii, with_parameter
 
 ORACLE_RAD = 1e-9       # vertex angle against the difference-form oracles
