@@ -18,9 +18,9 @@ values at once, from integer arithmetic on numpy arrays:
 
 Every other value (zeros, subnormals, magnitudes below 1 or from 1e15 up,
 inf and nan) is written by ``"%.17g"`` itself, the call ``format_real``
-makes.  Only integer arithmetic
-and exact comparisons are used, so the text of given doubles does not depend
-on the CPU.
+makes; a block with no value in range skips the array path altogether.
+Only integer arithmetic and exact comparisons are used, so the text of given
+doubles does not depend on the CPU.
 """
 
 import numpy as np
@@ -84,6 +84,10 @@ def rows_text(values: np.ndarray) -> str:
     flat = values.ravel()
     magnitude = np.abs(flat)
     exact = (magnitude >= _LOW) & (magnitude < _HIGH)
+    if not exact.any():
+        # No value for the kernel: "%.17g" writes them all, as format_real does.
+        row = ",".join(["%.17g"] * columns) + "\n"
+        return (row * rows) % tuple(flat.tolist())
     # Other values get a placeholder here and their own text below.
     significand, decade = _significand(np.where(exact, magnitude, _LOW))
 

@@ -32,9 +32,14 @@ DEFAULT_RNG_ALGORITHM = "pcg64"
 _POISSON_REJECTION_THRESHOLD = 30
 
 # Largest Poisson mean a topology may be drawn with.  ``generate`` peaks at
-# 72 bytes per point (the unrotated and rotated coordinates side by side),
-# so a draw at the cap holds about 0.7 GB.
+# about 40 bytes per point (the two angle arrays and the rotated
+# coordinates), so a draw at the cap holds about 0.4 GB.
 MAX_SAMPLE_POINTS = 10_000_000
+
+# Points ``generate`` builds and rotates at a time.  A block's unrotated
+# coordinates stay small next to the draw, and its (rows, 3) @ (3, 3)
+# product runs on one BLAS thread.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,17 +150,23 @@ def generate(dome: DomeGeometry, config: SampleConfig) -> Topology:
     Points are sampled about the +z pole on the transmitter sphere, then
     rotated by the yaw-pitch matrix so the cap centre lands on the receiver
     direction (sin(polar)cos(azimuth), sin(polar)sin(azimuth), cos(polar)).
+    All angles are drawn first; the points are then built and rotated in
+    blocks of rows, so no unrotated copy of the whole draw is held.
     """
     rng = make_rng(config.seed)
     count = poisson_count(config.density_per_km2, dome.area_km2, rng)
     azimuth, polar = sample_cap_angles(dome.vertex_angle_rad, count, config.mode, rng)
     r_t = dome.transmitter_radius_km
-    sin_polar = np.sin(polar)
-    local = np.column_stack((
-        r_t * sin_polar * np.cos(azimuth),
-        r_t * sin_polar * np.sin(azimuth),
-        r_t * np.cos(polar),
-    ))
     rotation = yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad)
-    return Topology(local @ rotation.T)
-
+    points = np.empty((count, 3))
+    local = np.empty((min(count, _BLOCK_ROWS), 3))
+    for start in range(0, count, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        block_azimuth, block_polar = azimuth[block], polar[block]
+        rows = local[:len(block_polar)]
+        r_sin_polar = r_t * np.sin(block_polar)
+        np.multiply(r_sin_polar, np.cos(block_azimuth), out=rows[:, 0])
+        np.multiply(r_sin_polar, np.sin(block_azimuth), out=rows[:, 1])
+        np.multiply(r_t, np.cos(block_polar), out=rows[:, 2])
+        np.matmul(rows, rotation.T, out=points[block])
+    return Topology(points)

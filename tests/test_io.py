@@ -27,6 +27,7 @@ from sagindome import (
     load_descriptor,
     parse_descriptor,
 )
+from sagindome import _csvtext
 from sagindome._csvtext import rows_text
 from sagindome.cli import main
 from sagindome.io import (
@@ -429,6 +430,25 @@ class TestRowsText:
                                3000) + 1
         values = (odd / scale).reshape(-1, 3)
         assert rows_text(values) == per_value_rows(values)
+
+    def test_block_with_no_value_in_range(self, monkeypatch):
+        # Coordinates of a sample on a sphere under 1 km, with every special
+        # value outside [1, 1e15): written by "%.17g" alone, the array path
+        # skipped.
+        rng = np.random.default_rng(38)
+        values = rng.uniform(-0.9, 0.9, (_CHUNK_ROWS, 3))
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf,
+                    -math.inf, math.nan, 1e15, -1.7976931348623157e308,
+                    float(np.nextafter(1.0, 0.0)), -1e-5]
+        values.flat[:300 * len(specials):300] = specials
+
+        def no_kernel(magnitude):
+            raise AssertionError("the array path ran")
+
+        monkeypatch.setattr(_csvtext, "_significand", no_kernel)
+        text = rows_text(values)
+        assert text == per_value_rows(values)
+        assert "\nnan," in text and "-4.9406564584124654e-324," in text
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),

@@ -6,6 +6,7 @@ pinned seeds keep the suite deterministic.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from sagindome import (
     sample_cap_angles,
     yaw_pitch_matrix,
 )
-from sagindome.pointprocess import MAX_SAMPLE_POINTS
+from sagindome import pointprocess
+from sagindome.pointprocess import _BLOCK_ROWS, MAX_SAMPLE_POINTS
 from cap_oracles import angular_distance, cap_center_direction
 from conftest import reference_spec
 
@@ -301,6 +303,82 @@ class TestGenerate:
         counts = [generate(dome, SampleConfig(density_per_km2=5e-6, seed=seed)).count
                   for seed in range(10_000)]
         assert abs(np.mean(counts) - 57.0) < 0.3
+
+
+def one_shot_points(dome: DomeGeometry, config: SampleConfig) -> np.ndarray:
+    """The draw ``generate`` makes, its points built as one column stack and
+    rotated by one matrix product.  The count comes through the module, as
+    in ``generate``, so that a test can fix it."""
+    rng = make_rng(config.seed)
+    count = pointprocess.poisson_count(config.density_per_km2, dome.area_km2, rng)
+    azimuth, polar = sample_cap_angles(dome.vertex_angle_rad, count, config.mode, rng)
+    r_t = dome.transmitter_radius_km
+    sin_polar = np.sin(polar)
+    local = np.column_stack((
+        r_t * sin_polar * np.cos(azimuth),
+        r_t * sin_polar * np.sin(azimuth),
+        r_t * np.cos(polar),
+    ))
+    return local @ yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad).T
+
+
+def oriented_config(density: float, mode: SampleMode, seed: int = 2024) -> SampleConfig:
+    return SampleConfig(density_per_km2=density, rx_azimuth_rad=2.4, rx_polar_rad=1.1,
+                        mode=mode, seed=seed)
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+MODES = pytest.mark.parametrize("mode", list(SampleMode), ids=lambda m: m.value)
+
+
+class TestBlockedBuild:
+    """``generate`` builds and rotates its points _BLOCK_ROWS at a time; the
+    bytes are those of one product over the whole draw."""
+
+    @MODES
+    @pytest.mark.parametrize("block_rows, count", [
+        # A block of 7 rows puts many block boundaries in a small draw.
+        *((7, count) for count in (0, 1, 6, 7, 8, 13, 14, 15, 7 * 9 + 3)),
+        *((_BLOCK_ROWS, count) for count in (_BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                             _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5)),
+    ])
+    def test_counts_on_and_next_to_block_boundaries(self, s2g_spec, monkeypatch, mode,
+                                                    block_rows, count):
+        # The count is fixed so that draws end on and next to boundaries.
+        monkeypatch.setattr(pointprocess, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(pointprocess, "poisson_count", lambda *args: count)
+        dome = coverage(s2g_spec)
+        config = oriented_config(1e-4, mode)
+        points = generate(dome, config).points
+        assert len(points) == count
+        assert_same_bits(points, one_shot_points(dome, config))
+
+    @MODES
+    def test_poisson_draw_across_blocks(self, s2g_spec, mode):
+        dome = coverage(s2g_spec)
+        config = oriented_config(25_000.5 / dome.area_km2, mode, seed=4242)
+        points = generate(dome, config).points
+        assert len(points) > 5 * _BLOCK_ROWS
+        assert_same_bits(points, one_shot_points(dome, config))
+
+    @MODES
+    def test_peak_memory_per_point(self, s2g_spec, mode):
+        # The angles and the result take 40 bytes a point; an unrotated copy
+        # of the whole draw next to them would take 64 or more.
+        dome = coverage(s2g_spec)
+        config = oriented_config(200_000.5 / dome.area_km2, mode, seed=11)
+        tracemalloc.start()
+        try:
+            topology = generate(dome, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert topology.count > 190_000
+        assert peak < 48 * topology.count
 
 
 class TestAngularDistance:
