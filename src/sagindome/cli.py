@@ -13,6 +13,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, NoReturn
 
 from .errors import OutputError, SaginDomeError
@@ -24,7 +25,7 @@ from .io import (
     load_descriptor,
     parse_descriptor,
     points_csv_chunks,
-    sweep_csv_chunks,
+    sweep_blocks_csv_chunks,
     write_text_file,
 )
 from .scenarios import (
@@ -174,17 +175,33 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_failed_rows(sweep: "SweepTable") -> None:
-    """One stderr line with the count of failed rows and the first reason."""
-    if sweep.errors:
-        first = min(sweep.errors)
-        print(f"warning: {len(sweep.errors)} of {len(sweep.parameter_value)} sweep rows "
-              f"failed; first at param_value={format_real(sweep.parameter_value[first])}: "
-              f"{sweep.errors[first]}", file=sys.stderr)
+class _FailedRows:
+    """A sweep's failed-row count and its first failed row, taken from its
+    blocks as they pass, for the one stderr line."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.first: tuple[float, str] | None = None
+
+    def tally(self, blocks: Iterable["SweepTable"]) -> Iterator["SweepTable"]:
+        for block in blocks:
+            if block.errors:
+                if self.first is None:
+                    index = min(block.errors)
+                    self.first = block.parameter_value[index], block.errors[index]
+                self.count += len(block.errors)
+            yield block
+
+    def report(self, rows: int) -> None:
+        """One stderr line with the count of failed rows and the first reason."""
+        if self.first is not None:
+            value, reason = self.first
+            print(f"warning: {self.count} of {rows} sweep rows failed; first at "
+                  f"param_value={format_real(value)}: {reason}", file=sys.stderr)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweeps import base_value, run_sweep
+    from .sweeps import base_value, sweep_blocks
 
     parameter = SweepParameter(args.param)
     scale = SweepScale(args.scale)
@@ -216,12 +233,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         steps=args.steps,
         scale=scale,
     )
-    table = run_sweep(sweep)
+    # The fixed values are checked here, before --output is opened; each
+    # block is then made, written and dropped in turn.
+    blocks = sweep_blocks(sweep)
+    failed = _FailedRows()
+    chunks = sweep_blocks_csv_chunks(failed.tally(blocks))
     if args.output:
-        write_text_file(args.output, sweep_csv_chunks(table))
+        write_text_file(args.output, chunks)
     else:
-        sys.stdout.writelines(sweep_csv_chunks(table))
-    _report_failed_rows(table)
+        sys.stdout.writelines(chunks)
+    failed.report(args.steps)
     return EXIT_OK
 
 

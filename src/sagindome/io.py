@@ -199,35 +199,51 @@ def dumps(payload: object, indent: int = 0) -> str:
     return json.dumps(str(payload))
 
 
+def _row_blocks(rows: int) -> Iterator[slice]:
+    """Slices of at most _CHUNK_ROWS rows that cover ``rows`` rows in order."""
+    for start in range(0, rows, _CHUNK_ROWS):
+        yield slice(start, min(start + _CHUNK_ROWS, rows))
+
+
 def _csv_chunks(header: str, rows: int, block_text: Callable[[slice], str]) -> Iterator[str]:
     """The header line, then the rows as text, _CHUNK_ROWS rows at a time;
     ``block_text`` writes the slice of a block's rows."""
     yield header + "\n"
-    for start in range(0, rows, _CHUNK_ROWS):
-        yield block_text(slice(start, min(start + _CHUNK_ROWS, rows)))
+    yield from map(block_text, _row_blocks(rows))
 
 
-def sweep_csv_chunks(sweep: "SweepTable") -> Iterator[str]:
-    """A sweep as CSV text in chunks (LF line endings, dot decimal
-    separator).
+def _sweep_rows_text(sweep: "SweepTable", block: slice) -> str:
+    """The CSV rows of a block of a sweep table.
 
     Failed grid points keep their parameter value and carry nan in the
-    numeric columns so plotting pipelines skip them naturally.  Each block
+    numeric columns so plotting pipelines skip them naturally.  The block
     is one ``%`` over the row template repeated once per row.  ``"%.17g" % x``
     and ``format_real(x)`` make the same C call
     (``PyOS_double_to_string(x, 'g', 17, 0)``), so the text is the same.
     """
-    def block_text(block: slice) -> str:
-        rows = block.stop - block.start
-        values = [None] * (4 * rows)
-        values[0::4] = sweep.parameter_value[block]
-        values[1::4] = sweep.vertex_angle_rad[block]
-        values[2::4] = sweep.area_km2[block]
-        values[3::4] = ["true" if flag else "false"
-                        for flag in sweep.tangent_limited[block]]
-        return ("%.17g,%.17g,%.17g,%s\n" * rows) % tuple(values)
+    rows = block.stop - block.start
+    values = [None] * (4 * rows)
+    values[0::4] = sweep.parameter_value[block]
+    values[1::4] = sweep.vertex_angle_rad[block]
+    values[2::4] = sweep.area_km2[block]
+    values[3::4] = ["true" if flag else "false" for flag in sweep.tangent_limited[block]]
+    return ("%.17g,%.17g,%.17g,%s\n" * rows) % tuple(values)
 
-    return _csv_chunks(SWEEP_CSV_HEADER, len(sweep.parameter_value), block_text)
+
+def sweep_blocks_csv_chunks(blocks: Iterable["SweepTable"]) -> Iterator[str]:
+    """Consecutive tables of one sweep as its CSV text in chunks (LF line
+    endings, dot decimal separator): the header, then each table's rows, at
+    most _CHUNK_ROWS rows a chunk.  Each table is read only as its chunks are
+    made, so a stream of blocks is never held whole."""
+    yield SWEEP_CSV_HEADER + "\n"
+    for sweep in blocks:
+        for block in _row_blocks(len(sweep.parameter_value)):
+            yield _sweep_rows_text(sweep, block)
+
+
+def sweep_csv_chunks(sweep: "SweepTable") -> Iterator[str]:
+    """A sweep table as CSV text in chunks (``sweep_blocks_csv_chunks``)."""
+    return sweep_blocks_csv_chunks((sweep,))
 
 
 def points_csv_chunks(topology: "Topology") -> Iterator[str]:

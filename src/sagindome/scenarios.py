@@ -276,10 +276,12 @@ def _resolve(spec: ScenarioSpec, values: list) -> tuple[float, float, float, flo
     return r_t, r_r, phi, area, tangent_limited
 
 
-# Largest grid a sweep may ask for.  A CLI sweep at the cap peaked at 50 MB
-# with every row evaluated (about 40 bytes a step: three float columns and a
-# flag), and at 240 MB with 98% of the rows failed (about 190 bytes more for
-# each row's error text).
+# Largest grid a sweep may ask for.  A CLI sweep holds one block of 1 024
+# rows whatever its size, so one at the cap peaks near 16 MB RSS, as a short
+# one does: 16.1 MB with every row evaluated (47 MB when the whole table was
+# held) and 16.1 MB with 98% of the rows failed (250 MB when every row's
+# error text was held).  ``run_sweep`` in Python still returns the whole
+# table: about 33 bytes a step, plus about 210 bytes per failed row.
 MAX_SWEEP_STEPS = 1_000_000
 
 

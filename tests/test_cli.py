@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from sagindome import (
     AntennaConfig,
+    InvalidParameterError,
     SampleConfig,
     Scenario,
     ScenarioSpec,
@@ -23,9 +25,10 @@ from sagindome import (
 import sagindome
 from sagindome import pointprocess, sweeps
 from sagindome.cli import main
-from sagindome.io import sweep_csv_chunks
+from sagindome.io import format_real, sweep_csv_chunks
 from sagindome.pointprocess import MAX_SAMPLE_POINTS
 from sagindome.scenarios import MAX_SWEEP_STEPS
+from sagindome.sweeps import _BLOCK_ROWS
 
 S2G_DESCRIPTOR = """{
   "scenario": "s2g",
@@ -374,7 +377,7 @@ class TestSweepCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the grid must not be built")
 
-        monkeypatch.setattr(sweeps, "grid_values", refuse)
+        monkeypatch.setattr(sweeps, "grid_point", refuse)
         code, out, err = run_cli([
             "sweep", *G2S_MEO_FLAGS, "--param", "carrier_frequency",
             "--from", "2e9", "--to", "40e9", "--steps", steps, "--scale", scale], capsys)
@@ -443,6 +446,88 @@ class TestSweepCommand:
             "--from", "5e-324", "--to", "90", "--steps", "3", "--scale", "log"], capsys)
         assert code == 2 and out == ""
         assert err == "error: logarithmic sweeps require low > 0\n"
+
+    @pytest.mark.parametrize("steps", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("first_failed", ["inside", "boundary", "row-0"])
+    def test_streamed_blocks_match_the_whole_table(self, steps, first_failed, tmp_path,
+                                                   capsys):
+        # Air altitudes at or above the space layer fail.  The space altitude
+        # is the grid value of the row where failures start: two thirds
+        # along, or row _BLOCK_ROWS (the last row of a shorter grid).  In the
+        # row-0 case the grid starts at the invalid altitude 0 and its last
+        # third lies above a 20 000 km space layer, so the first reason and
+        # most of the count come from different blocks.
+        low, high = (0.0, 30000.0) if first_failed == "row-0" else (1.0, 30000.0)
+        point = sweeps.grid_point(low, high, steps, SweepScale.LINEAR)
+        space = {"inside": point(steps * 2 // 3),
+                 "boundary": point(min(_BLOCK_ROWS, steps - 1)),
+                 "row-0": 20000.0}[first_failed]
+        argv = ["sweep", *a2s_air_sweep(repr(space))[:-4], "--from", repr(low),
+                "--to", repr(high), "--steps", str(steps)]
+        table = run_sweep(SweepSpec(
+            ScenarioSpec(Scenario.A2S, air_altitude_km=1.0, space_altitude_km=space,
+                         antenna=AntennaConfig(70.0, 4.0, 40e9)),
+            SweepParameter.AIR_ALTITUDE, low, high, steps))
+        first = min(table.errors)
+        assert first == {"inside": steps * 2 // 3, "boundary": min(_BLOCK_ROWS, steps - 1),
+                         "row-0": 0}[first_failed]
+        assert max(table.errors) == steps - 1
+        report = (f"warning: {len(table.errors)} of {steps} sweep rows failed; first at "
+                  f"param_value={format_real(table.parameter_value[first])}: "
+                  f"{table.errors[first]}\n")
+        expected = "".join(sweep_csv_chunks(table))
+        assert run_cli(argv, capsys) == (0, expected, report)
+        target = tmp_path / "rows.csv"
+        assert run_cli([*argv, "--output", str(target)], capsys) == (0, "", report)
+        assert target.read_bytes() == expected.encode()
+
+    def test_streamed_sweep_holds_one_block(self, tmp_path, capsys):
+        # 1e5 a2s air altitudes, a third of them above the space layer.  The
+        # whole table and its reasons would take over 10 MB; one block and
+        # its CSV text take about 0.5 MB.
+        target = tmp_path / "rows.csv"
+        argv = ["sweep", *a2s_air_sweep("20000")[:-4], "--from", "1", "--to", "30000",
+                "--steps", "100000", "--output", str(target)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err.startswith("warning: 33335 of 100000 sweep rows failed; ")
+        assert target.stat().st_size > 5_000_000
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("argv, reason", [
+        ([*G2S_MEO_FLAGS[:-2], "--reflector-diameter-m", "-4", "--param",
+          "carrier_frequency", "--from", "2e9", "--to", "40e9", "--steps", "3"],
+         "reflector_diameter_m must be > 0, got -4.0"),
+        ([*S2A_SPACE_SWEEP[1:], "--from", "1", "--to", "5"],
+         "air_altitude_km=10.0 must be below space_altitude_km=1.0"),
+    ], ids=["invalid-flag", "no-valid-grid-value"])
+    def test_exit_2_on_fixed_values_writes_no_output(self, argv, reason, tmp_path, capsys):
+        target = tmp_path / "rows.csv"
+        code, out, err = run_cli(["sweep", *argv, "--output", str(target)], capsys)
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+        assert not target.exists()
+
+    def test_sweep_checks_run_before_the_output_is_opened(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # The base scenario parses; the sweep's own check of its fixed values
+        # is made to fail (base_value reads a failed check as "no valid grid
+        # value"), so the command ends before writing anything.
+        def refuse(*args):
+            raise InvalidParameterError("refused")
+
+        monkeypatch.setattr(sweeps, "_check_values", refuse)
+        target = tmp_path / "rows.csv"
+        code, out, err = run_cli([
+            "sweep", *G2S_MEO_FLAGS, "--param", "carrier_frequency", "--from", "2e9",
+            "--to", "40e9", "--steps", "3", "--output", str(target)], capsys)
+        assert (code, out, err) == (2, "", "error: refused\n")
+        assert not target.exists()
 
     def test_no_report_without_failed_rows(self, capsys):
         code, _, err = run_cli([

@@ -28,7 +28,7 @@ from sagindome import (
     run_sweep,
 )
 from sagindome.scenarios import parameter_applicable
-from sagindome.sweeps import grid_values
+from sagindome.sweeps import grid_point
 from cap_oracles import vertex_angle_downlink_oracle, vertex_angle_uplink_oracle
 from conftest import layer_radii, with_parameter
 
@@ -114,7 +114,8 @@ def _oracle(spec: ScenarioSpec, tangent_limited: bool) -> float:
 def test_rows_match_coverage_and_oracles(spec):
     table = run_sweep(spec)
     grid = table.parameter_value.tolist()
-    assert grid == list(grid_values(spec.low, spec.high, spec.steps, spec.scale))
+    assert grid == list(map(grid_point(spec.low, spec.high, spec.steps, spec.scale),
+                            range(spec.steps)))
     assert set(table.errors) <= set(range(len(grid)))
     rows = zip(grid, table.vertex_angle_rad, table.area_km2, table.tangent_limited)
     for index, (value, phi, area, tangent_limited) in enumerate(rows):

@@ -25,8 +25,13 @@ from sagindome import (
 from sagindome.cli import main
 from sagindome.errors import SaginDomeError
 from sagindome.scenarios import MAX_SWEEP_STEPS, _check_values, _slot
-from sagindome.sweeps import base_value, grid_values
+from sagindome.sweeps import base_value, grid_point
 from conftest import reference_spec, with_parameter
+
+
+def grid_values(low: float, high: float, steps: int, scale: SweepScale) -> list[float]:
+    """Every point of a grid, in grid order."""
+    return list(map(grid_point(low, high, steps, scale), range(steps)))
 
 
 def _areas(table: SweepTable) -> list[float]:
@@ -98,19 +103,19 @@ class TestGridValues:
     @given(_grid_ranges(), st.integers(2, 300))
     def test_linear_grid_is_linspace(self, bounds, steps):
         low, high = bounds
-        grid = list(grid_values(low, high, steps, SweepScale.LINEAR))
+        grid = grid_values(low, high, steps, SweepScale.LINEAR)
         assert grid == np.linspace(low, high, steps).tolist()
 
     def test_linear_grid_whose_step_underflows_is_linspace(self):
         # (high - low) / 99 rounds to 0, so linspace scales i / 99 instead.
-        grid = list(grid_values(5e-324, 1e-323, 100, SweepScale.LINEAR))
+        grid = grid_values(5e-324, 1e-323, 100, SweepScale.LINEAR)
         assert grid == np.linspace(5e-324, 1e-323, 100).tolist()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_grid_ranges(1e-300), st.integers(2, 300))
     def test_log_grid_keeps_its_ends_and_stays_in_range(self, bounds, steps):
         low, high = bounds
-        grid = list(grid_values(low, high, steps, SweepScale.LOGARITHMIC))
+        grid = grid_values(low, high, steps, SweepScale.LOGARITHMIC)
         assert len(grid) == steps and grid[0] == low and grid[-1] == high
         assert all(low <= value <= high for value in grid)
         assert np.allclose(grid, np.geomspace(low, high, steps), rtol=1e-13, atol=0.0)
@@ -122,7 +127,7 @@ class TestGridValues:
         high = low
         for _ in range(ulps):
             high = math.nextafter(high, math.inf)
-        grid = list(grid_values(low, high, steps, SweepScale.LOGARITHMIC))
+        grid = grid_values(low, high, steps, SweepScale.LOGARITHMIC)
         assert grid[0] == low and grid[-1] == high
         assert all(low <= value <= high for value in grid)
 
@@ -323,7 +328,7 @@ class TestRunSweep:
         if scale is SweepScale.LOGARITHMIC:
             low = max(low, 1e-3)
         table = run_sweep(SweepSpec(base, parameter, low, high, 501, scale))
-        assert table.parameter_value.tolist() == list(grid_values(low, high, 501, scale))
+        assert table.parameter_value.tolist() == grid_values(low, high, 501, scale)
         kinds = set()
         rows = zip(table.parameter_value, table.vertex_angle_rad, table.area_km2,
                    table.tangent_limited)
