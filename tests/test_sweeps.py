@@ -261,8 +261,8 @@ class TestRunSweep:
         (Scenario.S2A, SweepParameter.SPACE_ALTITUDE, 1.0, 35786.0, 1),
         (Scenario.A2G, SweepParameter.AIR_ALTITUDE, 1.0, 50.0, 0),
     ])
-    def test_scalar_path_runs_only_for_failed_rows(self, monkeypatch, scenario, parameter,
-                                                   low, high, failures):
+    def test_no_row_builds_a_dataclass(self, monkeypatch, scenario, parameter, low, high,
+                                       failures):
         # Failed and evaluated rows alike go through the value checks and
         # the closed forms alone: no row builds a dataclass.
         spec = SweepSpec(reference_spec(scenario), parameter, low, high, 300)
@@ -286,8 +286,8 @@ class TestRunSweep:
          ("space_altitude_km must be > 0", "must be below space_altitude_km")),
     ])
     @pytest.mark.parametrize("first", ["low", "-0.0"])
-    def test_mask_reasons_are_the_scalar_errors(self, scenario, parameter, low, high,
-                                                reasons, first):
+    def test_failed_row_reasons_are_the_coverage_errors(self, scenario, parameter, low,
+                                                        high, reasons, first):
         # Each failed row's reason is the text coverage raises at its value.
         # 1001 steps over a range symmetric about 0 put a row at exactly 0;
         # a grid from -0.0 starts at -0.0.
