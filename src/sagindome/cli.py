@@ -24,7 +24,7 @@ from .io import (
     format_real,
     load_descriptor,
     parse_descriptor,
-    points_csv_chunks,
+    points_blocks_csv_chunks,
     sweep_blocks_csv_chunks,
     write_text_file,
 )
@@ -247,15 +247,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    from .pointprocess import DEFAULT_RNG_ALGORITHM, generate
+    from .pointprocess import DEFAULT_RNG_ALGORITHM, point_blocks
 
     descriptor = _descriptor_from_args(args)
     dome = coverage(descriptor.spec)
     config = descriptor.sample_config()
-    topology = generate(dome, config)
-    write_text_file(args.output, points_csv_chunks(topology))
+    # The count is drawn and checked here, before --output is opened; each
+    # block of points is then drawn, written and dropped in turn.
+    count, blocks = point_blocks(dome, config)
+    write_text_file(args.output, points_blocks_csv_chunks(blocks))
     print(dumps({
-        "count": topology.count,
+        "count": count,
         "area_km2": dome.area_km2,
         "vertex_angle_rad": dome.vertex_angle_rad,
         "seed": config.seed,

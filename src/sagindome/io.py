@@ -8,7 +8,7 @@ reproduces the underlying doubles bit for bit.
 
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -17,6 +17,8 @@ from .geometry import DEFAULT_EARTH_RADIUS_KM, AntennaConfig
 from .scenarios import SampleConfig, SampleMode, Scenario, ScenarioSpec, inputs
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .pointprocess import Topology
     from .sweeps import SweepTable
 
@@ -38,12 +40,14 @@ _KNOWN_KEYS = frozenset({
 SWEEP_CSV_HEADER = "param_value,vertex_angle_rad,area_km2,tangent_limited"
 POINTS_CSV_HEADER = "x_km,y_km,z_km"
 
-# Rows formatted in one block, of points or of a sweep.  Large enough that
-# the per-block Python overhead vanishes (a 2e5-point CSV took the same time
-# at 4 096, 8 192 and 16 384 rows), small enough that a block of points (its
-# text and the kernel's arrays, about 2 MB at the peak) stays small next to
-# the whole CSV.
-_CHUNK_ROWS = 4096
+# Rows formatted in one chunk, of points or of a sweep.  A chunk of points
+# takes about 1.2 MB in ``_csvtext.rows_text`` (the kernel's arrays and its
+# text) at 2 048 rows, twice that at 4 096, and that is most of what a
+# streamed ``sample`` holds above its imports.  Each chunk also costs about
+# 0.1 ms of numpy call overhead, a tenth of a 2 048-row chunk's time, so
+# 4 096-row chunks would make a 2e5-point sample about 5 ms faster and
+# 1 MB larger.
+_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -205,13 +209,6 @@ def _row_blocks(rows: int) -> Iterator[slice]:
         yield slice(start, min(start + _CHUNK_ROWS, rows))
 
 
-def _csv_chunks(header: str, rows: int, block_text: Callable[[slice], str]) -> Iterator[str]:
-    """The header line, then the rows as text, _CHUNK_ROWS rows at a time;
-    ``block_text`` writes the slice of a block's rows."""
-    yield header + "\n"
-    yield from map(block_text, _row_blocks(rows))
-
-
 def _sweep_rows_text(sweep: "SweepTable", block: slice) -> str:
     """The CSV rows of a block of a sweep table.
 
@@ -246,17 +243,29 @@ def sweep_csv_chunks(sweep: "SweepTable") -> Iterator[str]:
     return sweep_blocks_csv_chunks((sweep,))
 
 
-def points_csv_chunks(topology: "Topology") -> Iterator[str]:
-    """Topology points as CSV text in chunks, one x,y,z row per point.
+def points_blocks_csv_chunks(blocks: Iterable["np.ndarray"]) -> Iterator[str]:
+    """Consecutive (rows, 3) blocks of one topology's points as its CSV
+    text in chunks, one x,y,z row per point: the header, then each block's
+    rows, at most _CHUNK_ROWS rows a chunk.  Each block is read only as its
+    chunks are made, so a stream of blocks (``pointprocess.point_blocks``)
+    is never held whole.
 
-    Each block is written by ``_csvtext.rows_text``, in the bytes of
+    Each chunk is written by ``_csvtext.rows_text``, in the bytes of
     ``format_real``.  That module needs numpy, so it is imported here, not
     with this one.
     """
-    from ._csvtext import rows_text
+    from ._csvtext import lift_heap_thresholds, rows_text
 
-    return _csv_chunks(POINTS_CSV_HEADER, len(topology.points),
-                       lambda block: rows_text(topology.points[block]))
+    yield POINTS_CSV_HEADER + "\n"
+    lift_heap_thresholds()
+    for points in blocks:
+        for block in _row_blocks(len(points)):
+            yield rows_text(points[block])
+
+
+def points_csv_chunks(topology: "Topology") -> Iterator[str]:
+    """Topology points as CSV text in chunks (``points_blocks_csv_chunks``)."""
+    return points_blocks_csv_chunks((topology.points,))
 
 
 def write_text_file(path: str, chunks: Iterable[str]) -> None:

@@ -11,11 +11,22 @@ come from numpy's PCG64 bit generator through ``Generator.random``; the
 Poisson count is drawn by
 this module's own samplers (sequential inversion below mean 30, Hormann's
 PTRS transformed rejection above) so the stream never depends on numpy's
-distribution internals.  ``generate`` always consumes the stream in the
-order: count, then all azimuths, then all polar angles.
+distribution internals.
+
+The stream order is: the count, then all azimuths, then all polar angles.
+``Generator.random`` takes one 64-bit output of the bit generator per
+double, so the polar uniforms begin ``count`` outputs after the azimuths.
+``point_blocks`` draws its blocks in that order without holding the draw:
+each block takes its azimuths from the seeded generator and its polar
+uniforms from a copy of it advanced by ``count`` (``PCG64.advance``), or,
+when the draw fits one block, from the seeded generator after the
+azimuths.  ``generate`` and the ``sample`` command are built on it, so a
+streamed sample holds one block whatever its count.
 """
 
+import copy
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +42,18 @@ DEFAULT_RNG_ALGORITHM = "pcg64"
 # transformed rejection.
 _POISSON_REJECTION_THRESHOLD = 30
 
-# Largest Poisson mean a topology may be drawn with.  ``generate`` peaks at
-# about 40 bytes per point (the two angle arrays and the rotated
-# coordinates), so a draw at the cap holds about 0.4 GB.
+# Largest Poisson mean a topology may be drawn with.  ``generate`` holds
+# its result (24 bytes a point) and one block, so a draw at the cap holds
+# about 0.25 GB; the CLI writes each block as it comes and holds one block
+# whatever the count.
 MAX_SAMPLE_POINTS = 10_000_000
 
-# Points ``generate`` builds and rotates at a time.  A block's unrotated
+# Points drawn, built and rotated at a time.  A block's angles and unrotated
 # coordinates stay small next to the draw, and its (rows, 3) @ (3, 3)
-# product runs on one BLAS thread.
+# product runs on one BLAS thread.  The block boundaries are part of the
+# bytes: numpy computes the product of a one-row block through another
+# BLAS routine, which can differ in the last bit from the row of a longer
+# product, so changing this moves the last row of some draws.
 _BLOCK_ROWS = 4096
 
 
@@ -113,6 +128,15 @@ def poisson_count(density_per_km2: float, area_km2: float,
     return _poisson_ptrs(mean, rng)
 
 
+def _polar_angles(vertex_angle_rad: float, mode: SampleMode,
+                  uniforms: np.ndarray) -> np.ndarray:
+    """Polar angles inside a cap of half-angle ``vertex_angle_rad`` from
+    uniforms on [0, 1), by the formula of ``mode`` (``sample_cap_angles``)."""
+    if mode is SampleMode.PAPER_FAITHFUL:
+        return vertex_angle_rad * (2.0 * uniforms - 1.0)
+    return 2.0 * np.arcsin(np.sqrt(uniforms) * math.sin(0.5 * vertex_angle_rad))
+
+
 def sample_cap_angles(vertex_angle_rad: float, count: int, mode: SampleMode,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw (azimuth, polar) angle arrays for ``count`` points inside a cap.
@@ -127,12 +151,7 @@ def sample_cap_angles(vertex_angle_rad: float, count: int, mode: SampleMode,
         raise InvalidParameterError(f"count must be >= 0, got {count!r}")
     mode = _sample_mode(mode)
     azimuth = 2.0 * math.pi * rng.random(count)
-    if mode is SampleMode.PAPER_FAITHFUL:
-        polar = vertex_angle_rad * (2.0 * rng.random(count) - 1.0)
-    else:
-        polar = 2.0 * np.arcsin(np.sqrt(rng.random(count))
-                                * math.sin(0.5 * vertex_angle_rad))
-    return azimuth, polar
+    return azimuth, _polar_angles(vertex_angle_rad, mode, rng.random(count))
 
 
 def yaw_pitch_matrix(rx_azimuth_rad: float, rx_polar_rad: float) -> np.ndarray:
@@ -144,29 +163,62 @@ def yaw_pitch_matrix(rx_azimuth_rad: float, rx_polar_rad: float) -> np.ndarray:
     return yaw @ pitch
 
 
+def point_blocks(dome: DomeGeometry,
+                 config: SampleConfig) -> tuple[int, Iterator[np.ndarray]]:
+    """The count of a seeded topology inside the coverage dome, and its
+    points as consecutive (rows, 3) blocks of at most _BLOCK_ROWS rows.
+
+    The count is drawn and every check made in this call; the blocks are
+    drawn, built and rotated only as they are taken, so a caller that writes
+    each block as it comes holds one block whatever the count.  The points
+    are those of drawing all azimuths, then all polar angles, in one go.
+    """
+    rng = make_rng(config.seed)
+    count = poisson_count(config.density_per_km2, dome.area_km2, rng)
+    _require_vertex_angle(dome.vertex_angle_rad)
+    mode = _sample_mode(config.mode)
+    # The polar uniforms begin ``count`` outputs on (see the module
+    # docstring); a draw of one block reaches them after its azimuths.
+    polar_rng = rng
+    if count > _BLOCK_ROWS:
+        polar_rng = copy.deepcopy(rng)
+        polar_rng.bit_generator.advance(count)
+    rotation = yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad)
+    return count, _blocks(dome, mode, rotation, count, rng, polar_rng)
+
+
+def _blocks(dome: DomeGeometry, mode: SampleMode, rotation: np.ndarray, count: int,
+            rng: np.random.Generator, polar_rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The blocks of ``point_blocks``: each block's angles about the +z pole,
+    its points on the transmitter sphere, then rotated onto the receiver
+    direction."""
+    r_t = dome.transmitter_radius_km
+    for start in range(0, count, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, count - start)
+        azimuth = 2.0 * math.pi * rng.random(rows)
+        polar = _polar_angles(dome.vertex_angle_rad, mode, polar_rng.random(rows))
+        local = np.empty((rows, 3))
+        r_sin_polar = r_t * np.sin(polar)
+        np.multiply(r_sin_polar, np.cos(azimuth), out=local[:, 0])
+        np.multiply(r_sin_polar, np.sin(azimuth), out=local[:, 1])
+        np.multiply(r_t, np.cos(polar), out=local[:, 2])
+        yield local @ rotation.T
+
+
 def generate(dome: DomeGeometry, config: SampleConfig) -> Topology:
     """Generate a seeded transmitter topology inside the coverage dome.
 
     Points are sampled about the +z pole on the transmitter sphere, then
     rotated by the yaw-pitch matrix so the cap centre lands on the receiver
     direction (sin(polar)cos(azimuth), sin(polar)sin(azimuth), cos(polar)).
-    All angles are drawn first; the points are then built and rotated in
-    blocks of rows, so no unrotated copy of the whole draw is held.
+    The points are those of ``point_blocks``, copied block by block into the
+    result, so no unrotated copy of the whole draw and no whole angle array
+    is held; a draw of one block is returned as it is.
     """
-    rng = make_rng(config.seed)
-    count = poisson_count(config.density_per_km2, dome.area_km2, rng)
-    azimuth, polar = sample_cap_angles(dome.vertex_angle_rad, count, config.mode, rng)
-    r_t = dome.transmitter_radius_km
-    rotation = yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad)
+    count, blocks = point_blocks(dome, config)
+    if count <= _BLOCK_ROWS:
+        return Topology(next(blocks, np.empty((0, 3))))
     points = np.empty((count, 3))
-    local = np.empty((min(count, _BLOCK_ROWS), 3))
-    for start in range(0, count, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        block_azimuth, block_polar = azimuth[block], polar[block]
-        rows = local[:len(block_polar)]
-        r_sin_polar = r_t * np.sin(block_polar)
-        np.multiply(r_sin_polar, np.cos(block_azimuth), out=rows[:, 0])
-        np.multiply(r_sin_polar, np.sin(block_azimuth), out=rows[:, 1])
-        np.multiply(r_t, np.cos(block_polar), out=rows[:, 2])
-        np.matmul(rows, rotation.T, out=points[block])
+    for start, block in zip(range(0, count, _BLOCK_ROWS), blocks):
+        points[start:start + _BLOCK_ROWS] = block
     return Topology(points)

@@ -20,15 +20,19 @@ from sagindome import (
     SweepScale,
     SweepSpec,
     cap_area,
+    coverage,
+    load_descriptor,
     run_sweep,
 )
 import sagindome
-from sagindome import pointprocess, sweeps
+from sagindome import io, pointprocess, sweeps
 from sagindome.cli import main
-from sagindome.io import format_real, sweep_csv_chunks
+from sagindome.io import POINTS_CSV_HEADER, format_real, sweep_csv_chunks
 from sagindome.pointprocess import MAX_SAMPLE_POINTS
 from sagindome.scenarios import MAX_SWEEP_STEPS
 from sagindome.sweeps import _BLOCK_ROWS
+
+from test_pointprocess import MODES, one_shot_points
 
 S2G_DESCRIPTOR = """{
   "scenario": "s2g",
@@ -598,6 +602,62 @@ class TestSampleCommand:
                               f"<= {MAX_SAMPLE_POINTS}, got density * area = ")
         assert err.count("\n") == 1
         assert not target.exists()
+
+    @MODES
+    @pytest.mark.parametrize("block_rows, chunk_rows, count", [
+        # Seven-row blocks put many block boundaries in a small draw, and
+        # three-row chunks split each block again for its text.
+        *((7, 3, count) for count in (0, 1, 6, 7, 8, 13, 14, 15, 7 * 9 + 3)),
+        *((7, 2048, count) for count in (7, 8, 7 * 9 + 3)),
+        *((pointprocess._BLOCK_ROWS, 2048, count) for count in (
+            pointprocess._BLOCK_ROWS - 1, pointprocess._BLOCK_ROWS,
+            pointprocess._BLOCK_ROWS + 1, 2 * pointprocess._BLOCK_ROWS + 1)),
+    ])
+    def test_streamed_blocks_match_the_one_shot_draw(self, mode, block_rows, chunk_rows,
+                                                     count, tmp_path, capsys, monkeypatch):
+        # The count is fixed so that draws end on and next to block
+        # boundaries.  A draw of more than one block takes its polar uniforms
+        # from a copy of the stream advanced past the azimuths; the one-shot
+        # draw takes them from one generator after all the azimuths.
+        monkeypatch.setattr(pointprocess, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(pointprocess, "poisson_count", lambda *args: count)
+        descriptor = tmp_path / "oriented.json"
+        descriptor.write_text(json.dumps({
+            "scenario": "s2g", "space_altitude_km": 600, "min_elevation_deg": 10,
+            "density_per_km2": 1e-4, "rx_azimuth_deg": 137, "rx_polar_deg": 63,
+            "seed": 2024, "mode": mode.value}))
+        target = tmp_path / "points.csv"
+        code, out, err = run_cli(["sample", "--descriptor", str(descriptor),
+                                  "--output", str(target)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == count
+        loaded = load_descriptor(str(descriptor))
+        points = one_shot_points(coverage(loaded.spec), loaded.sample_config(), block_rows)
+        assert len(points) == count
+        # Compared as lines, so that a failure names its first row quickly.
+        assert target.read_text().split("\n") == [
+            POINTS_CSV_HEADER, *(",".join(map(format_real, row)) for row in points.tolist()), ""]
+
+    def test_streamed_sample_holds_one_block(self, tmp_path, capsys):
+        # ~2e5 points: the whole draw's coordinates alone would take 4.8 MB,
+        # and the draw held whole peaked at about 8.3 MB.  One block of
+        # points and the text of one chunk take about 1.3 MB; the largest
+        # allocation is the 2 MiB buffer that lifts the allocator's
+        # thresholds, freed untouched.
+        descriptor = tmp_path / "bulk.json"
+        descriptor.write_text(S2G_DESCRIPTOR.replace("5e-6", "0.0172"))
+        target = tmp_path / "points.csv"
+        tracemalloc.start()
+        try:
+            code = main(["sample", "--descriptor", str(descriptor), "--output", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = json.loads(capsys.readouterr().out)["count"]
+        assert code == 0 and count > 190_000
+        assert target.stat().st_size > 10_000_000
+        assert peak < 3_000_000
 
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         descriptor = tmp_path / "noseed.json"

@@ -305,10 +305,14 @@ class TestGenerate:
         assert abs(np.mean(counts) - 57.0) < 0.3
 
 
-def one_shot_points(dome: DomeGeometry, config: SampleConfig) -> np.ndarray:
-    """The draw ``generate`` makes, its points built as one column stack and
-    rotated by one matrix product.  The count comes through the module, as
-    in ``generate``, so that a test can fix it."""
+def one_shot_points(dome: DomeGeometry, config: SampleConfig,
+                    block_rows: int | None = None) -> np.ndarray:
+    """The draw ``generate`` makes, its angles drawn whole from one generator
+    in the stream's order, its points built as one column stack and rotated
+    by one matrix product, or by one product for each ``block_rows`` rows.
+    (numpy computes a one-row product through another BLAS routine, which
+    can differ in the last bit.)  The count comes through the module, as in
+    ``generate``, so that a test can fix it."""
     rng = make_rng(config.seed)
     count = pointprocess.poisson_count(config.density_per_km2, dome.area_km2, rng)
     azimuth, polar = sample_cap_angles(dome.vertex_angle_rad, count, config.mode, rng)
@@ -319,7 +323,11 @@ def one_shot_points(dome: DomeGeometry, config: SampleConfig) -> np.ndarray:
         r_t * sin_polar * np.sin(azimuth),
         r_t * np.cos(polar),
     ))
-    return local @ yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad).T
+    rotation = yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad)
+    if block_rows is None:
+        return local @ rotation.T
+    return np.concatenate([local[start:start + block_rows] @ rotation.T
+                           for start in range(0, count, block_rows)] or [local])
 
 
 def oriented_config(density: float, mode: SampleMode, seed: int = 2024) -> SampleConfig:
@@ -367,8 +375,9 @@ class TestBlockedBuild:
 
     @MODES
     def test_peak_memory_per_point(self, s2g_spec, mode):
-        # The angles and the result take 40 bytes a point; an unrotated copy
-        # of the whole draw next to them would take 64 or more.
+        # The result takes 24 bytes a point and one block of angles and
+        # coordinates about 1.5 more; the whole angle arrays next to the
+        # result would take 40, and an unrotated copy of the draw 64 or more.
         dome = coverage(s2g_spec)
         config = oriented_config(200_000.5 / dome.area_km2, mode, seed=11)
         tracemalloc.start()
@@ -378,7 +387,7 @@ class TestBlockedBuild:
         finally:
             tracemalloc.stop()
         assert topology.count > 190_000
-        assert peak < 48 * topology.count
+        assert peak < 28 * topology.count
 
 
 class TestAngularDistance:
