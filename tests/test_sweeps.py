@@ -286,8 +286,8 @@ class TestRunSweep:
          ("space_altitude_km must be > 0", "must be below space_altitude_km")),
     ])
     @pytest.mark.parametrize("first", ["low", "-0.0"])
-    def test_failed_row_reasons_are_the_coverage_errors(self, scenario, parameter, low,
-                                                        high, reasons, first):
+    def test_mask_reasons_are_the_scalar_errors(self, scenario, parameter, low, high,
+                                                reasons, first):
         # Each failed row's reason is the text coverage raises at its value.
         # 1001 steps over a range symmetric about 0 put a row at exactly 0;
         # a grid from -0.0 starts at -0.0.
