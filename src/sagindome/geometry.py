@@ -18,7 +18,6 @@ its one point of evaluation, ``_beamwidth`` (behind ``half_power_beamwidth``).
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     InvalidGeometryError,
@@ -96,22 +95,53 @@ def _clamp_nonnegative(value: float, what: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class AntennaConfig:
+class _Record:
+    """The frozen base of the package's records.
+
+    A record's fields are the attributes its ``__init__`` stores, in that
+    order.  ``repr`` lists them as a dataclass would, ``==`` and ``hash``
+    compare them within one class, and assigning or deleting an attribute
+    raises ``AttributeError``.  Pickling and copying restore the fields
+    without calling ``__init__``.
+    """
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AntennaConfig(_Record):
     """Normalized reflector antenna: illumination coefficient, diameter, carrier."""
 
     illumination_coefficient: float
     reflector_diameter_m: float
     carrier_frequency_hz: float
 
-    def __post_init__(self) -> None:
-        _require_positive("illumination_coefficient", self.illumination_coefficient)
-        _require_positive("reflector_diameter_m", self.reflector_diameter_m)
-        _require_positive("carrier_frequency_hz", self.carrier_frequency_hz)
+    def __init__(self, illumination_coefficient: float, reflector_diameter_m: float,
+                 carrier_frequency_hz: float) -> None:
+        _require_positive("illumination_coefficient", illumination_coefficient)
+        _require_positive("reflector_diameter_m", reflector_diameter_m)
+        _require_positive("carrier_frequency_hz", carrier_frequency_hz)
+        self.__dict__.update(illumination_coefficient=illumination_coefficient,
+                             reflector_diameter_m=reflector_diameter_m,
+                             carrier_frequency_hz=carrier_frequency_hz)
 
 
-@dataclass(frozen=True)
-class DomeGeometry:
+class DomeGeometry(_Record):
     """A resolved coverage cap on the transmitter sphere.
 
     The transmitter-sphere radius and the Earth-central vertex angle fix the
@@ -125,17 +155,26 @@ class DomeGeometry:
     receiver_radius_km: float
     vertex_angle_rad: float
     tangent_limited: bool
-    delta: float = field(init=False)
-    area_km2: float = field(init=False)
+    delta: float
+    area_km2: float
 
-    def __post_init__(self) -> None:
-        _require_positive("transmitter_radius_km", self.transmitter_radius_km)
-        _require_positive("receiver_radius_km", self.receiver_radius_km)
-        _require_vertex_angle(self.vertex_angle_rad)
-        area = _cap_area(self.transmitter_radius_km, self.vertex_angle_rad)
+    def __init__(self, transmitter_radius_km: float, receiver_radius_km: float,
+                 vertex_angle_rad: float, tangent_limited: bool) -> None:
+        _require_positive("transmitter_radius_km", transmitter_radius_km)
+        _require_positive("receiver_radius_km", receiver_radius_km)
+        _require_vertex_angle(vertex_angle_rad)
+        area = _cap_area(transmitter_radius_km, vertex_angle_rad)
         _require_finite_nonnegative("area_km2", area)
-        object.__setattr__(self, "delta", math.cos(self.vertex_angle_rad))
-        object.__setattr__(self, "area_km2", area)
+        self._store(transmitter_radius_km, receiver_radius_km, vertex_angle_rad, area,
+                    tangent_limited)
+
+    def _store(self, r_t_km: float, r_r_km: float, vertex_angle_rad: float, area_km2: float,
+               tangent_limited: bool) -> None:
+        """Store checked values, their ``cap_area`` and their ``delta``."""
+        self.__dict__.update(transmitter_radius_km=r_t_km, receiver_radius_km=r_r_km,
+                             vertex_angle_rad=vertex_angle_rad,
+                             tangent_limited=tangent_limited,
+                             delta=math.cos(vertex_angle_rad), area_km2=area_km2)
 
 
 def _checked_dome(r_t_km: float, r_r_km: float, vertex_angle_rad: float, area_km2: float,
@@ -144,9 +183,7 @@ def _checked_dome(r_t_km: float, r_r_km: float, vertex_angle_rad: float, area_km
     their ``cap_area`` (``scenarios._resolve``): built without repeating
     either."""
     dome = object.__new__(DomeGeometry)
-    vars(dome).update(transmitter_radius_km=r_t_km, receiver_radius_km=r_r_km,
-                      vertex_angle_rad=vertex_angle_rad, tangent_limited=tangent_limited,
-                      delta=math.cos(vertex_angle_rad), area_km2=area_km2)
+    dome._store(r_t_km, r_r_km, vertex_angle_rad, area_km2, tangent_limited)
     return dome
 
 

@@ -9,11 +9,10 @@ reproduces the underlying doubles bit for bit.
 import json
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DescriptorError, InvalidParameterError, OutputError
-from .geometry import DEFAULT_EARTH_RADIUS_KM, AntennaConfig
+from .geometry import DEFAULT_EARTH_RADIUS_KM, AntennaConfig, _Record
 from .scenarios import SampleConfig, SampleMode, Scenario, ScenarioSpec, inputs
 
 if TYPE_CHECKING:
@@ -50,8 +49,7 @@ POINTS_CSV_HEADER = "x_km,y_km,z_km"
 _CHUNK_ROWS = 2048
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(_Record):
     """A parsed descriptor: the scenario and the sampling request, every key
     of both checked.  A sampling key without a default that the descriptor
     lacks (density 0, seed 0 stand in) is listed in ``missing``."""
@@ -59,6 +57,10 @@ class Descriptor:
     spec: ScenarioSpec
     sample: SampleConfig
     missing: tuple[str, ...]
+
+    def __init__(self, spec: ScenarioSpec, sample: SampleConfig,
+                 missing: tuple[str, ...]) -> None:
+        self.__dict__.update(spec=spec, sample=sample, missing=missing)
 
     def sample_config(self, required: tuple[str, ...] = _SAMPLE_REQUIRED) -> SampleConfig:
         """The sampling request, once the descriptor has every key in

@@ -27,12 +27,11 @@ streamed sample holds one block whatever its count.
 import copy
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geometry import DomeGeometry, _require_finite_nonnegative, _require_vertex_angle
+from .geometry import DomeGeometry, _Record, _require_finite_nonnegative, _require_vertex_angle
 from .scenarios import SampleConfig, SampleMode, _check_seed, _sample_mode
 
 # The bit generator ``make_rng`` builds, by numpy's name for it.
@@ -57,11 +56,17 @@ MAX_SAMPLE_POINTS = 10_000_000
 _BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class Topology:
-    """Generated transmitter positions: an (n, 3) array of x, y, z in km."""
+class Topology(_Record):
+    """Generated transmitter positions: an (n, 3) array of x, y, z in km.
+    Two topologies are equal only if they are the same object."""
 
     points: np.ndarray
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, points: np.ndarray) -> None:
+        self.__dict__["points"] = points
 
     @property
     def count(self) -> int:

@@ -8,7 +8,6 @@ The transmitter radius is always the transmitting layer's radius.  A sweep
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
@@ -22,6 +21,7 @@ from .geometry import (
     _check_downlink_domain,
     _check_uplink_domain,
     _checked_dome,
+    _Record,
     _require_finite_nonnegative,
     _require_positive,
     _vertex_angle_downlink,
@@ -106,8 +106,7 @@ SPACE_ALTITUDE_RANGE_KM = (500.0, 35786.0)
 ELEVATION_RANGE_RAD = (math.radians(5.0), math.radians(30.0))
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Record):
     """A fully parameterized scenario.
 
     ``inputs(scenario)`` says which of the optional fields must be set and
@@ -116,13 +115,20 @@ class ScenarioSpec:
     """
 
     scenario: Scenario
-    air_altitude_km: float | None = None
-    space_altitude_km: float | None = None
-    antenna: AntennaConfig | None = None
-    min_elevation_rad: float | None = None
-    earth_radius_km: float = DEFAULT_EARTH_RADIUS_KM
+    air_altitude_km: float | None
+    space_altitude_km: float | None
+    antenna: AntennaConfig | None
+    min_elevation_rad: float | None
+    earth_radius_km: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, scenario: Scenario, air_altitude_km: float | None = None,
+                 space_altitude_km: float | None = None, antenna: AntennaConfig | None = None,
+                 min_elevation_rad: float | None = None,
+                 earth_radius_km: float = DEFAULT_EARTH_RADIUS_KM) -> None:
+        self.__dict__.update(scenario=scenario, air_altitude_km=air_altitude_km,
+                             space_altitude_km=space_altitude_km, antenna=antenna,
+                             min_elevation_rad=min_elevation_rad,
+                             earth_radius_km=earth_radius_km)
         sc = self.scenario
         if not isinstance(sc, Scenario):
             raise InvalidParameterError(f"scenario must be a Scenario, got {sc!r}")
@@ -198,14 +204,16 @@ def _fault(slot: int, value: float, values: list) -> SaginDomeError:
         f"air_altitude_km={air!r} must be below space_altitude_km={space!r}")
 
 
-@dataclass(frozen=True)
-class RangeViolation:
+class RangeViolation(_Record):
     """A parameter outside its customary operating range (advisory only)."""
 
     parameter: str
     value: float
     low: float
     high: float
+
+    def __init__(self, parameter: str, value: float, low: float, high: float) -> None:
+        self.__dict__.update(parameter=parameter, value=value, low=low, high=high)
 
 
 def validate(spec: ScenarioSpec) -> tuple[RangeViolation, ...]:
@@ -297,8 +305,7 @@ class SweepScale(Enum):
     LOGARITHMIC = "log"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """One swept parameter over a fixed base scenario.
 
     ``low`` and ``high`` are in the parameter's library unit: Hz for the
@@ -310,9 +317,12 @@ class SweepSpec:
     low: float
     high: float
     steps: int
-    scale: SweepScale = SweepScale.LINEAR
+    scale: SweepScale
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: ScenarioSpec, parameter: SweepParameter, low: float, high: float,
+                 steps: int, scale: SweepScale = SweepScale.LINEAR) -> None:
+        self.__dict__.update(base=base, parameter=parameter, low=low, high=high, steps=steps,
+                             scale=scale)
         if not isinstance(self.parameter, SweepParameter):
             raise InvalidParameterError(
                 f"parameter must be a SweepParameter, got {self.parameter!r}")
@@ -379,23 +389,26 @@ class SampleMode(Enum):
     PAPER_FAITHFUL = "paper_faithful"
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(_Record):
     """Density, receiver orientation, sampling mode, and seed."""
 
     density_per_km2: float
-    rx_azimuth_rad: float = 0.0
-    rx_polar_rad: float = 0.0
-    mode: SampleMode = SampleMode.AREA_UNIFORM
-    seed: int = 0
+    rx_azimuth_rad: float
+    rx_polar_rad: float
+    mode: SampleMode
+    seed: int
 
-    def __post_init__(self) -> None:
-        _require_finite_nonnegative("density_per_km2", self.density_per_km2)
-        for name in ("rx_azimuth_rad", "rx_polar_rad"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, density_per_km2: float, rx_azimuth_rad: float = 0.0,
+                 rx_polar_rad: float = 0.0, mode: SampleMode | str = SampleMode.AREA_UNIFORM,
+                 seed: int = 0) -> None:
+        _require_finite_nonnegative("density_per_km2", density_per_km2)
+        for name, value in (("rx_azimuth_rad", rx_azimuth_rad), ("rx_polar_rad", rx_polar_rad)):
+            if not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite")
-        object.__setattr__(self, "mode", _sample_mode(self.mode))
-        _check_seed(self.seed)
+        mode = _sample_mode(mode)
+        _check_seed(seed)
+        self.__dict__.update(density_per_km2=density_per_km2, rx_azimuth_rad=rx_azimuth_rad,
+                             rx_polar_rad=rx_polar_rad, mode=mode, seed=seed)
 
 
 def _sample_mode(mode: SampleMode | str) -> SampleMode:

@@ -9,7 +9,7 @@ it records the reason ``ScenarioSpec`` would raise there
 function ``coverage`` resolves its dome with (``scenarios._resolve``), which
 evaluates the private bodies of the closed forms and keeps only the checks
 such a value can still fail.  So a row is exactly ``coverage`` at its grid
-value, or the text of the error it raises.  No dataclass is built per row,
+value, or the text of the error it raises.  No record is built per row,
 and no numpy is needed.
 
 The rows are made 1 024 at a time (``sweep_blocks``).  The CLI writes each
@@ -24,9 +24,9 @@ import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 from .errors import SaginDomeError
+from .geometry import _Record
 from .scenarios import (
     SweepParameter,
     SweepScale,
@@ -45,17 +45,26 @@ from .scenarios import (
 _BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True, eq=False)
-class SweepTable:
+class SweepTable(_Record):
     """A sweep's grid points, or one block of them (``sweep_blocks``), as
     columns, in grid order.  A point that could not be evaluated holds nan,
-    nan and False; ``errors`` maps its index in the table to why."""
+    nan and False; ``errors`` maps its index in the table to why.  Two
+    tables are equal only if they are the same object."""
 
     parameter_value: array
     vertex_angle_rad: array
     area_km2: array
     tangent_limited: list[bool]
     errors: dict[int, str]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, parameter_value: array, vertex_angle_rad: array, area_km2: array,
+                 tangent_limited: list[bool], errors: dict[int, str]) -> None:
+        self.__dict__.update(parameter_value=parameter_value,
+                             vertex_angle_rad=vertex_angle_rad, area_km2=area_km2,
+                             tangent_limited=tangent_limited, errors=errors)
 
 
 def grid_point(low: float, high: float, steps: int, scale: SweepScale) -> Callable[[int], float]:

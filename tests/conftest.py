@@ -6,7 +6,6 @@ LEO constellation at 600 km.  Published coverage areas for them are listed
 in PUBLISHED_AREAS_KM2 and carry a 0.5% acceptance tolerance.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -65,14 +64,18 @@ def with_parameter(base: ScenarioSpec, parameter: SweepParameter,
                    value: float) -> ScenarioSpec:
     """The scenario a sweep evaluates at one grid value: ``coverage`` of it
     is the oracle of that sweep row."""
+    antenna, elevation = base.antenna, base.min_elevation_rad
+    air, space = base.air_altitude_km, base.space_altitude_km
     if parameter is SweepParameter.CARRIER_FREQUENCY:
-        antenna = dataclasses.replace(base.antenna, carrier_frequency_hz=value)
-        return dataclasses.replace(base, antenna=antenna)
-    if parameter is SweepParameter.MIN_ELEVATION:
-        return dataclasses.replace(base, min_elevation_rad=value)
-    if parameter is SweepParameter.AIR_ALTITUDE:
-        return dataclasses.replace(base, air_altitude_km=value)
-    return dataclasses.replace(base, space_altitude_km=value)
+        antenna = AntennaConfig(antenna.illumination_coefficient, antenna.reflector_diameter_m,
+                                value)
+    elif parameter is SweepParameter.MIN_ELEVATION:
+        elevation = value
+    elif parameter is SweepParameter.AIR_ALTITUDE:
+        air = value
+    else:
+        space = value
+    return ScenarioSpec(base.scenario, air, space, antenna, elevation, base.earth_radius_km)
 
 
 @pytest.fixture

@@ -809,9 +809,9 @@ class TestOneBoundary:
     def test_sample_builds_one_sample_config(self, s2g_descriptor, tmp_path, capsys,
                                              monkeypatch):
         built = []
-        post_init = SampleConfig.__post_init__
-        monkeypatch.setattr(SampleConfig, "__post_init__",
-                            lambda config: built.append(config) or post_init(config))
+        init = SampleConfig.__init__
+        monkeypatch.setattr(SampleConfig, "__init__", lambda config, *args, **kwargs:
+                            built.append(config) or init(config, *args, **kwargs))
         code, _, _ = run_cli(["sample", "--descriptor", s2g_descriptor,
                               "--output", str(tmp_path / "points.csv")], capsys)
         assert code == 0 and len(built) == 1

@@ -2,21 +2,41 @@
 
 Only ``pointprocess`` imports numpy, so only the ``sample`` command loads it.
 ``import sagindome``, the ``coverage``, ``count`` and ``sweep`` commands,
-``--help`` and every descriptor error run without numpy; ``sweep`` loads no
-``pointprocess`` and ``sample`` no ``sweeps``.  The package resolves the
-names of those two modules on first access.  Each check runs in a fresh
-interpreter, since this one has imported everything already.
+``--help`` and every descriptor error run without numpy, and, since the
+records are plain frozen classes, without ``dataclasses`` and ``inspect``;
+``sweep`` loads no ``pointprocess`` and ``sample`` no ``sweeps``.  The
+package resolves the names of those two modules on first access.  Each
+check runs in a fresh interpreter, since this one has imported everything
+already.
 """
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sagindome
+from sagindome import (
+    AntennaConfig,
+    Descriptor,
+    DomeGeometry,
+    RangeViolation,
+    SampleConfig,
+    Scenario,
+    ScenarioSpec,
+    SweepParameter,
+    SweepScale,
+    SweepSpec,
+    SweepTable,
+    Topology,
+)
 
 S2G_DESCRIPTOR = {"scenario": "s2g", "space_altitude_km": 600, "min_elevation_deg": 10,
                   "density_per_km2": 5e-6, "seed": 7}
@@ -78,7 +98,7 @@ class TestStartup:
             ["coverage", "--descriptor", str(undecodable)],
             ["count", "--descriptor", str(invalid)],
             ["--help"],
-        ], ["numpy"])
+        ], ["numpy", "dataclasses", "inspect"])
         assert [code for _, code, _ in results] == [0, 0, 0, 0, 0, 2, 2, 0]
         assert [call for call, _, loaded in results if loaded] == []
 
@@ -88,7 +108,7 @@ class TestStartup:
             ["sweep", "--scenario", "s2g", "--space-altitude-km", "600",
              "--param", "min_elevation", "--from", "5", "--to", "30", "--steps", "6",
              "--output", str(grid)],
-        ], ["numpy", "sagindome.pointprocess"])
+        ], ["numpy", "sagindome.pointprocess", "dataclasses", "inspect"])
         assert results[-1][1:] == [0, []]
         assert len(grid.read_text().splitlines()) == 7
 
@@ -142,3 +162,81 @@ class TestPackageSurface:
             "print(generate is sagindome.pointprocess.generate"
             " and vars(sagindome)['generate'] is generate)")
         assert same == "True\n"
+
+
+def _spec() -> ScenarioSpec:
+    return ScenarioSpec(Scenario.S2G, space_altitude_km=600.0, min_elevation_rad=0.25)
+
+
+def _sample() -> SampleConfig:
+    return SampleConfig(5e-6, rx_polar_rad=0.5, mode="paper_faithful", seed=7)
+
+
+_SPEC_REPR = ("ScenarioSpec(scenario=<Scenario.S2G: 's2g'>, air_altitude_km=None, "
+              "space_altitude_km=600.0, antenna=None, min_elevation_rad=0.25, "
+              "earth_radius_km=6371.0)")
+_SAMPLE_REPR = ("SampleConfig(density_per_km2=5e-06, rx_azimuth_rad=0.0, rx_polar_rad=0.5, "
+                "mode=<SampleMode.PAPER_FAITHFUL: 'paper_faithful'>, seed=7)")
+
+# Each record: a function that builds a sample instance, the repr the
+# record printed as a dataclass, and whether it compares by value (True)
+# or by identity (False).
+_RECORDS = {
+    "AntennaConfig": (
+        lambda: AntennaConfig(70.0, 4.0, 40e9),
+        "AntennaConfig(illumination_coefficient=70.0, reflector_diameter_m=4.0, "
+        "carrier_frequency_hz=40000000000.0)", True),
+    "DomeGeometry": (
+        lambda: DomeGeometry(6971.0, 6371.0, 0.5, False),
+        "DomeGeometry(transmitter_radius_km=6971.0, receiver_radius_km=6371.0, "
+        "vertex_angle_rad=0.5, tangent_limited=False, delta=0.8775825618903728, "
+        "area_km2=37377764.24028399)", True),
+    "ScenarioSpec": (_spec, _SPEC_REPR, True),
+    "RangeViolation": (
+        lambda: RangeViolation("air_altitude_km", 60.0, 1.0, 50.0),
+        "RangeViolation(parameter='air_altitude_km', value=60.0, low=1.0, high=50.0)", True),
+    "SweepSpec": (
+        lambda: SweepSpec(_spec(), SweepParameter.MIN_ELEVATION, 0.0, 1.5, 4),
+        f"SweepSpec(base={_SPEC_REPR}, parameter=<SweepParameter.MIN_ELEVATION: "
+        "'min_elevation'>, low=0.0, high=1.5, steps=4, scale=<SweepScale.LINEAR: 'linear'>)",
+        True),
+    "SampleConfig": (_sample, _SAMPLE_REPR, True),
+    "Descriptor": (
+        lambda: Descriptor(_spec(), _sample(), ("density_per_km2",)),
+        f"Descriptor(spec={_SPEC_REPR}, sample={_SAMPLE_REPR}, "
+        "missing=('density_per_km2',))", True),
+    "Topology": (
+        lambda: Topology(np.array([[1.0, 2.0, 3.0]])),
+        "Topology(points=array([[1., 2., 3.]]))", False),
+    "SweepTable": (
+        lambda: SweepTable(array("d", [0.5]), array("d", [0.25]), array("d", [1.5]), [False],
+                           {1: "why"}),
+        "SweepTable(parameter_value=array('d', [0.5]), vertex_angle_rad=array('d', [0.25]), "
+        "area_km2=array('d', [1.5]), tangent_limited=[False], errors={1: 'why'})", False),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", list(_RECORDS))
+    def test_record_behaves_as_its_dataclass_did(self, name):
+        build, text, by_value = _RECORDS[name]
+        record, twin = build(), build()
+        assert repr(record) == text
+        assert record == record
+        assert (record == twin) is by_value
+        if by_value:
+            assert hash(record) == hash(twin)
+        assert len({record, twin}) == (1 if by_value else 2)
+        assert record != object()
+        field = next(iter(vars(record)))
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.no_such_field = None
+        assert repr(record) == text
+        for restored in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(restored) is type(record) and restored is not record
+            assert repr(restored) == text
+            assert (restored == record) is by_value

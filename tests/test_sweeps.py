@@ -261,17 +261,17 @@ class TestRunSweep:
         (Scenario.S2A, SweepParameter.SPACE_ALTITUDE, 1.0, 35786.0, 1),
         (Scenario.A2G, SweepParameter.AIR_ALTITUDE, 1.0, 50.0, 0),
     ])
-    def test_no_row_builds_a_dataclass(self, monkeypatch, scenario, parameter, low, high,
-                                       failures):
+    def test_no_row_builds_a_record(self, monkeypatch, scenario, parameter, low, high,
+                                    failures):
         # Failed and evaluated rows alike go through the value checks and
-        # the closed forms alone: no row builds a dataclass.
+        # the closed forms alone: no row builds a record.
         spec = SweepSpec(reference_spec(scenario), parameter, low, high, 300)
 
-        def refuse(self):
-            raise AssertionError("a sweep row must build no dataclass")
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a sweep row must build no record")
 
         for cls in (AntennaConfig, ScenarioSpec, DomeGeometry):
-            monkeypatch.setattr(cls, "__post_init__", refuse)
+            monkeypatch.setattr(cls, "__init__", refuse)
         table = run_sweep(spec)
         assert len(table.errors) == failures
 
