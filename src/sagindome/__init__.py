@@ -45,7 +45,7 @@ from .scenarios import (
 # so ``import sagindome`` loads neither.
 _LAZY_NAMES = {
     **dict.fromkeys(("Topology", "generate", "make_rng", "poisson_count",
-                     "sample_cap_angles", "yaw_pitch_matrix"), "pointprocess"),
+                     "yaw_pitch_matrix"), "pointprocess"),
     "SweepTable": "sweeps",
     "run_sweep": "sweeps",
 }
@@ -73,6 +73,6 @@ __all__ = [
     "Scenario", "ScenarioSpec", "SweepParameter", "SweepScale", "SweepSpec", "SweepTable",
     "Topology", "cap_area", "coverage", "expected_count", "full_sphere_count",
     "generate", "half_power_beamwidth", "load_descriptor", "make_rng",
-    "parse_descriptor", "poisson_count", "run_sweep", "sample_cap_angles", "validate",
+    "parse_descriptor", "poisson_count", "run_sweep", "validate",
     "vertex_angle_downlink", "vertex_angle_uplink", "yaw_pitch_matrix",
 ]

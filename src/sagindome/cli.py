@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING, NoReturn
 from .errors import OutputError, SaginDomeError
 from .geometry import expected_count, full_sphere_count, half_power_beamwidth
 from .io import (
+    _FIELD_KEYS,
+    _SCENARIO_KEYS,
     Descriptor,
     dumps,
     format_real,
@@ -30,6 +32,7 @@ from .io import (
 )
 from .scenarios import (
     MAX_SWEEP_STEPS,
+    _PARAMETER_FIELDS,
     Scenario,
     SweepParameter,
     SweepScale,
@@ -46,21 +49,6 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_OUTPUT_ERROR = 3
-
-# Descriptor keys that have an inline flag; each flag's dest is its key.
-_SCENARIO_KEYS = ("scenario", "carrier_frequency_hz", "illumination_coefficient",
-                  "reflector_diameter_m", "min_elevation_deg", "air_altitude_km",
-                  "space_altitude_km", "earth_radius_km")
-
-# The scenario flag each sweep parameter replaces, in CLI units; angles
-# enter in degrees and are converted to the library's radians at this
-# boundary.
-_SWEEP_PARAM_KEYS = {
-    SweepParameter.CARRIER_FREQUENCY: "carrier_frequency_hz",
-    SweepParameter.MIN_ELEVATION: "min_elevation_deg",
-    SweepParameter.AIR_ALTITUDE: "air_altitude_km",
-    SweepParameter.SPACE_ALTITUDE: "space_altitude_km",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +72,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+    # Each flag's dest is its descriptor key.
     parser.add_argument("--scenario", choices=sorted(s.value for s in Scenario))
     for key in _SCENARIO_KEYS[1:]:
         parser.add_argument("--" + key.replace("_", "-"), type=float)
@@ -218,10 +207,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # value the scenario accepts (``base_value``), so an invalid first grid
     # point becomes a nan row like any other.  Without such a value, or when
     # the other layer's fixed altitude fails on its own, the scenario is
-    # parsed at the grid start and its error ends the command.  Inapplicable
-    # parameters are left for SweepSpec.
+    # parsed at the grid start and its error ends the command.  The flag is
+    # the first key of the parameter's field, in CLI units (degrees for the
+    # elevation).  Inapplicable parameters are left for SweepSpec.
     if "scenario" in flags and parameter_applicable(parameter, Scenario(flags["scenario"])):
-        flags[_SWEEP_PARAM_KEYS[parameter]] = to_flag(base_value(
+        flags[_FIELD_KEYS[_PARAMETER_FIELDS[parameter]][0]] = to_flag(base_value(
             parameter, flags.get("air_altitude_km"), flags.get("space_altitude_km"),
             low, high, args.steps, scale))
     descriptor = parse_descriptor(flags)
@@ -233,8 +223,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         steps=args.steps,
         scale=scale,
     )
-    # The fixed values are checked here, before --output is opened; each
-    # block is then made, written and dropped in turn.
+    # The fixed values were checked with the base scenario, and the swept
+    # value's interval is fixed here, before --output is opened; each block
+    # is then made, written and dropped in turn.
     blocks = sweep_blocks(sweep)
     failed = _FailedRows()
     chunks = sweep_blocks_csv_chunks(failed.tally(blocks))

@@ -265,9 +265,11 @@ def _vertex_angle_downlink(elevation_rad: float, r_t_km: float, r_r_km: float) -
 def cap_area(r_t_km: float, vertex_angle_rad: float) -> float:
     """Area of a spherical cap, 2*pi*R^2*(1 - cos(phi)), in km^2.
 
-    Evaluated as 4*pi*R^2*sin^2(phi/2): identical analytically, but free of
-    the cancellation that costs 1 - cos(phi) about eight digits near
-    phi = 1e-4.
+    Evaluated as 4*pi*R^2*sin^2(phi/2): identical analytically, and it adds
+    no cancellation of its own, so the area is as accurate as phi.  A phi
+    that comes from ``acos(delta)``, as the vertex angles here do, carries
+    an error of about 1e-16/phi rad already, a relative error of about
+    1e-16/phi**2 (1e-8 near phi = 1e-4), and the area inherits it.
     """
     _require_positive("r_t_km", r_t_km)
     _require_vertex_angle(vertex_angle_rad)

@@ -18,7 +18,6 @@ from .scenarios import SampleConfig, SampleMode, Scenario, ScenarioSpec, inputs
 if TYPE_CHECKING:
     import numpy as np
 
-    from .pointprocess import Topology
     from .sweeps import SweepTable
 
 # The descriptor keys that set each optional ScenarioSpec field.
@@ -31,9 +30,11 @@ _FIELD_KEYS = {
 # Sampling keys without a default: a descriptor lacking one still parses,
 # but cannot be sampled (or, lacking the density, counted).
 _SAMPLE_REQUIRED = ("density_per_km2", "seed")
+# The keys that describe the scenario, each of which has an inline CLI flag.
+_SCENARIO_KEYS = ("scenario", *(key for keys in _FIELD_KEYS.values() for key in keys),
+                  "earth_radius_km")
 _KNOWN_KEYS = frozenset({
-    "scenario", *(key for keys in _FIELD_KEYS.values() for key in keys), "earth_radius_km",
-    *_SAMPLE_REQUIRED, "rx_azimuth_deg", "rx_polar_deg", "mode",
+    *_SCENARIO_KEYS, *_SAMPLE_REQUIRED, "rx_azimuth_deg", "rx_polar_deg", "mode",
 })
 
 SWEEP_CSV_HEADER = "param_value,vertex_angle_rad,area_km2,tangent_limited"
@@ -240,11 +241,6 @@ def sweep_blocks_csv_chunks(blocks: Iterable["SweepTable"]) -> Iterator[str]:
             yield _sweep_rows_text(sweep, block)
 
 
-def sweep_csv_chunks(sweep: "SweepTable") -> Iterator[str]:
-    """A sweep table as CSV text in chunks (``sweep_blocks_csv_chunks``)."""
-    return sweep_blocks_csv_chunks((sweep,))
-
-
 def points_blocks_csv_chunks(blocks: Iterable["np.ndarray"]) -> Iterator[str]:
     """Consecutive (rows, 3) blocks of one topology's points as its CSV
     text in chunks, one x,y,z row per point: the header, then each block's
@@ -263,11 +259,6 @@ def points_blocks_csv_chunks(blocks: Iterable["np.ndarray"]) -> Iterator[str]:
     for points in blocks:
         for block in _row_blocks(len(points)):
             yield rows_text(points[block])
-
-
-def points_csv_chunks(topology: "Topology") -> Iterator[str]:
-    """Topology points as CSV text in chunks (``points_blocks_csv_chunks``)."""
-    return points_blocks_csv_chunks((topology.points,))
 
 
 def write_text_file(path: str, chunks: Iterable[str]) -> None:

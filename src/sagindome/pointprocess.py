@@ -21,7 +21,11 @@ each block takes its azimuths from the seeded generator and its polar
 uniforms from a copy of it advanced by ``count`` (``PCG64.advance``), or,
 when the draw fits one block, from the seeded generator after the
 azimuths.  ``generate`` and the ``sample`` command are built on it, so a
-streamed sample holds one block whatever its count.
+streamed sample holds one block whatever its count.  It is the package's
+only angle sampler; the tests draw whole angle arrays in one go with their
+own one-shot oracle and compare its blocks with them bit for bit.  It checks
+no record again: a ``DomeGeometry`` holds a vertex angle in [0, pi] and a
+``SampleConfig`` a ``SampleMode``, each checked when the record was built.
 """
 
 import copy
@@ -31,8 +35,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geometry import DomeGeometry, _Record, _require_finite_nonnegative, _require_vertex_angle
-from .scenarios import SampleConfig, SampleMode, _check_seed, _sample_mode
+from .geometry import DomeGeometry, _Record, _require_finite_nonnegative
+from .scenarios import SampleConfig, SampleMode, _check_seed
 
 # The bit generator ``make_rng`` builds, by numpy's name for it.
 DEFAULT_RNG_ALGORITHM = "pcg64"
@@ -136,27 +140,15 @@ def poisson_count(density_per_km2: float, area_km2: float,
 def _polar_angles(vertex_angle_rad: float, mode: SampleMode,
                   uniforms: np.ndarray) -> np.ndarray:
     """Polar angles inside a cap of half-angle ``vertex_angle_rad`` from
-    uniforms on [0, 1), by the formula of ``mode`` (``sample_cap_angles``)."""
+    uniforms U on [0, 1), by the formula of ``mode``.
+
+    AREA_UNIFORM draws polar = arccos(1 - U * (1 - cos(phi))), evaluated in
+    the equivalent cancellation-free form 2*arcsin(sqrt(U) * sin(phi/2));
+    PAPER_FAITHFUL draws polar uniformly on [-phi, phi].
+    """
     if mode is SampleMode.PAPER_FAITHFUL:
         return vertex_angle_rad * (2.0 * uniforms - 1.0)
     return 2.0 * np.arcsin(np.sqrt(uniforms) * math.sin(0.5 * vertex_angle_rad))
-
-
-def sample_cap_angles(vertex_angle_rad: float, count: int, mode: SampleMode,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (azimuth, polar) angle arrays for ``count`` points inside a cap.
-
-    Azimuths are uniform on [0, 2*pi) in both modes.  AREA_UNIFORM draws
-    polar = arccos(1 - U * (1 - cos(phi))), evaluated in the equivalent
-    cancellation-free form 2*arcsin(sqrt(U) * sin(phi/2)); PAPER_FAITHFUL
-    draws polar uniformly on [-phi, phi].
-    """
-    _require_vertex_angle(vertex_angle_rad)
-    if count < 0:
-        raise InvalidParameterError(f"count must be >= 0, got {count!r}")
-    mode = _sample_mode(mode)
-    azimuth = 2.0 * math.pi * rng.random(count)
-    return azimuth, _polar_angles(vertex_angle_rad, mode, rng.random(count))
 
 
 def yaw_pitch_matrix(rx_azimuth_rad: float, rx_polar_rad: float) -> np.ndarray:
@@ -180,8 +172,6 @@ def point_blocks(dome: DomeGeometry,
     """
     rng = make_rng(config.seed)
     count = poisson_count(config.density_per_km2, dome.area_km2, rng)
-    _require_vertex_angle(dome.vertex_angle_rad)
-    mode = _sample_mode(config.mode)
     # The polar uniforms begin ``count`` outputs on (see the module
     # docstring); a draw of one block reaches them after its azimuths.
     polar_rng = rng
@@ -189,7 +179,7 @@ def point_blocks(dome: DomeGeometry,
         polar_rng = copy.deepcopy(rng)
         polar_rng.bit_generator.advance(count)
     rotation = yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad)
-    return count, _blocks(dome, mode, rotation, count, rng, polar_rng)
+    return count, _blocks(dome, config.mode, rotation, count, rng, polar_rng)
 
 
 def _blocks(dome: DomeGeometry, mode: SampleMode, rotation: np.ndarray, count: int,

@@ -1,9 +1,11 @@
 """Parameter sweeps over scenario geometry, one grid point at a time.
 
 A sweep is checked once: its fixed values pass ``scenarios._check_values``
-when its base scenario is built, and they fix the one interval of values the
-swept parameter may take (``scenarios._interval``).  Each row then costs two
-float comparisons against that interval and its arithmetic.  A value outside
+when its base scenario is built, and are not checked again when it runs
+(without the swept value they can only lose the altitude-order bound, so
+they still pass).  They fix the one interval of values the swept parameter
+may take (``scenarios._interval``).  Each row then costs two float
+comparisons against that interval and its arithmetic.  A value outside
 it records the reason ``ScenarioSpec`` would raise there
 (``scenarios._fault``) without raising it; a value inside goes through the
 function ``coverage`` resolves its dome with (``scenarios._resolve``), which
@@ -128,11 +130,11 @@ def base_value(parameter: SweepParameter, air_altitude_km: float | None,
 def sweep_blocks(spec: SweepSpec, rows: int = _BLOCK_ROWS) -> Iterator[SweepTable]:
     """The sweep's grid in grid order, as tables of ``rows`` consecutive
     points (the last may hold fewer), each made when it is asked for.  Each
-    table's ``errors`` is keyed by its own row index.  The fixed values are
-    checked at the call, before any block is made."""
+    table's ``errors`` is keyed by its own row index.  The fixed values were
+    checked when the base scenario was built; the swept value's interval is
+    fixed at the call, before any block is made."""
     base, values, slot = spec.base, _values(spec.base), _slot(spec.parameter)
     values[slot] = None
-    _check_values(*values)
     low, high = _interval(slot, values)
     point = grid_point(spec.low, spec.high, spec.steps, spec.scale)
     failed = math.nan, math.nan, math.nan, math.nan, False

@@ -28,7 +28,6 @@ from sagindome import (
     generate,
     make_rng,
     poisson_count,
-    sample_cap_angles,
     vertex_angle_downlink,
     vertex_angle_uplink,
 )
@@ -40,7 +39,7 @@ from cap_oracles import (
     vertex_angle_uplink_oracle,
 )
 from conftest import reference_spec
-from test_pointprocess import _poisson_chi_square_pvalue
+from test_pointprocess import _poisson_chi_square_pvalue, sample_cap_angles
 
 AREA_RTOL = 0.005
 SIGNIFICANCE = 0.01

@@ -27,7 +27,7 @@ from sagindome import (
 import sagindome
 from sagindome import io, pointprocess, sweeps
 from sagindome.cli import main
-from sagindome.io import POINTS_CSV_HEADER, format_real, sweep_csv_chunks
+from sagindome.io import POINTS_CSV_HEADER, format_real, sweep_blocks_csv_chunks
 from sagindome.pointprocess import MAX_SAMPLE_POINTS
 from sagindome.scenarios import MAX_SWEEP_STEPS
 from sagindome.sweeps import _BLOCK_ROWS
@@ -172,7 +172,10 @@ class TestCoverageCommand:
     @pytest.mark.parametrize("flags, name", [
         (["--earth-radius-km", "inf"], "earth_radius_km"),
         (["--space-altitude-km", "inf"], "space_altitude_km"),
-    ], ids=["earth-flag", "altitude-flag"])
+        # Finite inputs whose radii both overflow: the receiver's is named.
+        (["--scenario", "s2a", "--earth-radius-km", "1e308", "--air-altitude-km", "1e308",
+          "--space-altitude-km", "1.5e308"], "r_r_km"),
+    ], ids=["earth-flag", "altitude-flag", "radii-overflow"])
     def test_infinite_downlink_input_named(self, flags, name, capsys):
         base = ["coverage", "--scenario", "s2g", "--space-altitude-km", "600",
                 "--min-elevation-deg", "10"]
@@ -402,7 +405,7 @@ class TestSweepCommand:
             SweepParameter.CARRIER_FREQUENCY, 300e6, 2.4e9, 22, SweepScale.LOGARITHMIC))
         failed = [table.errors[index] for index in sorted(table.errors)]
         assert code == 0
-        assert out == "".join(sweep_csv_chunks(table))
+        assert out == "".join(sweep_blocks_csv_chunks([table]))
         assert len(failed) == 7
         assert err == (f"warning: 7 of 22 sweep rows failed; first at "
                        f"param_value=300000000: {failed[0]}\n")
@@ -479,7 +482,7 @@ class TestSweepCommand:
         report = (f"warning: {len(table.errors)} of {steps} sweep rows failed; first at "
                   f"param_value={format_real(table.parameter_value[first])}: "
                   f"{table.errors[first]}\n")
-        expected = "".join(sweep_csv_chunks(table))
+        expected = "".join(sweep_blocks_csv_chunks([table]))
         assert run_cli(argv, capsys) == (0, expected, report)
         target = tmp_path / "rows.csv"
         assert run_cli([*argv, "--output", str(target)], capsys) == (0, "", report)
@@ -519,13 +522,13 @@ class TestSweepCommand:
 
     def test_sweep_checks_run_before_the_output_is_opened(self, tmp_path, capsys,
                                                           monkeypatch):
-        # The base scenario parses; the sweep's own check of its fixed values
-        # is made to fail (base_value reads a failed check as "no valid grid
-        # value"), so the command ends before writing anything.
+        # The base scenario parses; the sweep's own eager set-up, which reads
+        # the base scenario's values, is made to fail, so the command ends
+        # before writing anything.
         def refuse(*args):
             raise InvalidParameterError("refused")
 
-        monkeypatch.setattr(sweeps, "_check_values", refuse)
+        monkeypatch.setattr(sweeps, "_values", refuse)
         target = tmp_path / "rows.csv"
         code, out, err = run_cli([
             "sweep", *G2S_MEO_FLAGS, "--param", "carrier_frequency", "--from", "2e9",

@@ -21,7 +21,6 @@ from sagindome import (
     SampleMode,
     Scenario,
     SweepTable,
-    Topology,
     coverage,
     generate,
     load_descriptor,
@@ -36,8 +35,8 @@ from sagindome.io import (
     SWEEP_CSV_HEADER,
     dumps,
     format_real,
-    points_csv_chunks,
-    sweep_csv_chunks,
+    points_blocks_csv_chunks,
+    sweep_blocks_csv_chunks,
     write_text_file,
 )
 from conftest import reference_spec
@@ -259,7 +258,7 @@ class TestCsvWriters:
     def test_sweep_header_and_rows(self):
         table = table_of([(2e9, 0.07, 660716.5, False), (4e9, math.nan, math.nan, False)],
                          errors={1: "no value"})
-        text = "".join(sweep_csv_chunks(table))
+        text = "".join(sweep_blocks_csv_chunks([table]))
         lines = text.split("\n")
         assert lines[0] == SWEEP_CSV_HEADER
         assert lines[1].startswith("2000000000,")
@@ -271,7 +270,7 @@ class TestCsvWriters:
         from sagindome import SampleConfig
         dome = coverage(s2g_spec)
         topology = generate(dome, SampleConfig(density_per_km2=5e-6, seed=3))
-        text = "".join(points_csv_chunks(topology))
+        text = "".join(points_blocks_csv_chunks([topology.points]))
         lines = text.strip().split("\n")
         assert lines[0] == POINTS_CSV_HEADER
         assert len(lines) == 1 + topology.count
@@ -282,7 +281,7 @@ class TestCsvWriters:
         from sagindome import SampleConfig
         dome = coverage(s2g_spec)
         topology = generate(dome, SampleConfig(density_per_km2=0.0, seed=3))
-        assert "".join(points_csv_chunks(topology)) == POINTS_CSV_HEADER + "\n"
+        assert "".join(points_blocks_csv_chunks([topology.points])) == POINTS_CSV_HEADER + "\n"
 
 
 # Values whose text is easy to get wrong: nan, both infinities, negative
@@ -344,14 +343,13 @@ class TestChunkedCsv:
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_points_bytes_equal_per_value_join(self, n):
         points = special_points(n)
-        topology = Topology(points)
-        chunks = list(points_csv_chunks(topology))
+        chunks = list(points_blocks_csv_chunks([points]))
         assert "".join(chunks) == per_value_points_csv(points)
         assert len(chunks) == 1 + -(-n // _CHUNK_ROWS)
 
     def test_points_special_values_text(self):
-        text = "".join(points_csv_chunks(Topology(np.array(
-            [SPECIAL_VALUES[:3], SPECIAL_VALUES[3:6], SPECIAL_VALUES[6:9]]))))
+        text = "".join(points_blocks_csv_chunks([np.array(
+            [SPECIAL_VALUES[:3], SPECIAL_VALUES[3:6], SPECIAL_VALUES[6:9]])]))
         assert text == ("x_km,y_km,z_km\nnan,inf,-inf\n-0,0,4.9406564584124654e-324\n"
                         "-4.9406564584124654e-324,1.7976931348623157e+308,"
                         "-1.7976931348623157e+308\n")
@@ -361,7 +359,7 @@ class TestChunkedCsv:
         values = special_points(n)
         rows = [(p, math.nan, math.nan, False) if i % 5 == 0 else (p, phi, area, i % 3 == 0)
                 for i, (p, phi, area) in enumerate(values.tolist())]
-        chunks = list(sweep_csv_chunks(table_of(rows)))
+        chunks = list(sweep_blocks_csv_chunks([table_of(rows)]))
         text = "".join(chunks)
         assert text == per_value_sweep_csv(rows)
         assert len(chunks) == 1 + -(-n // _CHUNK_ROWS)
@@ -372,13 +370,13 @@ class TestChunkedCsv:
     @given(arrays(np.float64, st.tuples(st.integers(0, 8), st.just(3)),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
     def test_points_property(self, points):
-        assert "".join(points_csv_chunks(Topology(points))) == per_value_points_csv(points)
+        assert "".join(points_blocks_csv_chunks([points])) == per_value_points_csv(points)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.booleans()),
                     max_size=20))
     def test_sweep_property(self, fields):
-        assert "".join(sweep_csv_chunks(table_of(fields))) == per_value_sweep_csv(fields)
+        assert "".join(sweep_blocks_csv_chunks([table_of(fields)])) == per_value_sweep_csv(fields)
 
 
 def _exact_range_edges() -> list[float]:
@@ -513,7 +511,7 @@ class TestCsvFiles:
         target = tmp_path / "points.csv"
         tracemalloc.start()
         try:
-            write_text_file(str(target), points_csv_chunks(topology))
+            write_text_file(str(target), points_blocks_csv_chunks([topology.points]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

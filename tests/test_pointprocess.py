@@ -26,11 +26,12 @@ from sagindome import (
     generate,
     make_rng,
     poisson_count,
-    sample_cap_angles,
     yaw_pitch_matrix,
 )
 from sagindome import pointprocess
-from sagindome.pointprocess import _BLOCK_ROWS, MAX_SAMPLE_POINTS
+from sagindome.geometry import _require_vertex_angle
+from sagindome.pointprocess import _BLOCK_ROWS, MAX_SAMPLE_POINTS, _polar_angles
+from sagindome.scenarios import _sample_mode
 from cap_oracles import angular_distance, cap_center_direction
 from conftest import reference_spec
 
@@ -303,6 +304,24 @@ class TestGenerate:
         counts = [generate(dome, SampleConfig(density_per_km2=5e-6, seed=seed)).count
                   for seed in range(10_000)]
         assert abs(np.mean(counts) - 57.0) < 0.3
+
+
+# The one-shot oracle of the sampler's stream: every angle of a draw at once.
+def sample_cap_angles(vertex_angle_rad: float, count: int, mode: SampleMode,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (azimuth, polar) angle arrays for ``count`` points inside a cap.
+
+    Azimuths are uniform on [0, 2*pi) in both modes.  AREA_UNIFORM draws
+    polar = arccos(1 - U * (1 - cos(phi))), evaluated in the equivalent
+    cancellation-free form 2*arcsin(sqrt(U) * sin(phi/2)); PAPER_FAITHFUL
+    draws polar uniformly on [-phi, phi].
+    """
+    _require_vertex_angle(vertex_angle_rad)
+    if count < 0:
+        raise InvalidParameterError(f"count must be >= 0, got {count!r}")
+    mode = _sample_mode(mode)
+    azimuth = 2.0 * math.pi * rng.random(count)
+    return azimuth, _polar_angles(vertex_angle_rad, mode, rng.random(count))
 
 
 def one_shot_points(dome: DomeGeometry, config: SampleConfig,

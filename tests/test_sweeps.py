@@ -189,6 +189,10 @@ WIDE_BEAM_G2S = ScenarioSpec(Scenario.G2S, space_altitude_km=600.0,
 # f * D underflows to 0, so every row with a valid altitude fails on it.
 UNDERFLOWING_G2S = ScenarioSpec(Scenario.G2S, space_altitude_km=600.0,
                                 antenna=AntennaConfig(70.0, 1e-320, 1e-320))
+# Finite inputs whose radii both overflow to inf, so every row fails on the
+# receiver radius.
+OVERFLOWING_S2A = ScenarioSpec(Scenario.S2A, air_altitude_km=1e308, space_altitude_km=1.5e308,
+                               min_elevation_rad=math.radians(10.0), earth_radius_km=1e308)
 
 
 class TestRunSweep:
@@ -286,8 +290,8 @@ class TestRunSweep:
          ("space_altitude_km must be > 0", "must be below space_altitude_km")),
     ])
     @pytest.mark.parametrize("first", ["low", "-0.0"])
-    def test_mask_reasons_are_the_scalar_errors(self, scenario, parameter, low, high,
-                                                reasons, first):
+    def test_failed_row_reasons_are_the_coverage_errors(self, scenario, parameter, low,
+                                                        high, reasons, first):
         # Each failed row's reason is the text coverage raises at its value.
         # 1001 steps over a range symmetric about 0 put a row at exactly 0;
         # a grid from -0.0 starts at -0.0.
@@ -321,8 +325,9 @@ class TestRunSweep:
         (reference_spec(Scenario.A2S), SweepParameter.AIR_ALTITUDE, -30000.0, 30000.0),
         (reference_spec(Scenario.S2A), SweepParameter.SPACE_ALTITUDE, -600.0, 36000.0),
         (UNDERFLOWING_G2S, SweepParameter.SPACE_ALTITUDE, -600.0, 36000.0),
+        (OVERFLOWING_S2A, SweepParameter.SPACE_ALTITUDE, 1.1e308, 1.7e308),
     ], ids=["g2s-frequency", "g2a-frequency", "s2g-elevation", "g2a-air", "g2s-space",
-            "a2s-air", "s2a-space", "g2s-space-underflow"])
+            "a2s-air", "s2a-space", "g2s-space-underflow", "s2a-space-overflow"])
     @pytest.mark.parametrize("scale", list(SweepScale))
     def test_rows_are_coverage_at_their_grid_values(self, base, parameter, low, high, scale):
         if scale is SweepScale.LOGARITHMIC:
