@@ -54,9 +54,9 @@ _POSITIONS = np.arange(_DIGITS, dtype=np.uint8)[:, None]
 # each block of a stream maps its largest arrays, then grows and trims the
 # heap for the rest, so the pages of every block are faulted in anew: a
 # 2e5-point sample took ~23k minor faults, against ~300 after a lift.  A
-# chunk of 2 048 points (``io._CHUNK_ROWS``) takes about 1.2 MB in
-# ``rows_text``, so a lift to 2 MiB (trim at 4 MiB) keeps every chunk in the
-# heap.
+# chunk is one block of 4 096 points (``pointprocess._BLOCK_ROWS``) and takes
+# about 2.3 MB in ``rows_text``, none of its arrays above 0.5 MB, so a lift
+# to 2 MiB (trim at 4 MiB) keeps every chunk in the heap.
 _HEAP_LIFT_BYTES = 2 ** 21
 
 

@@ -277,16 +277,20 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader went away (``| head``): point stdout's descriptor, if it
-        # has one, at os.devnull, so the flush at exit finds no pipe.
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT_ERROR
+    except OSError as exc:
+        # The handlers raise every other read or write failure as a
+        # DescriptorError or an OutputError, so this one is from writing
+        # standard output: the reader went away (``| head``) or the device
+        # is full.  Point stdout's descriptor, if it has one, at os.devnull,
+        # so the flush at exit does not fail again.
         with open(os.devnull, "w") as devnull, \
                 contextlib.suppress(AttributeError, OSError, ValueError):
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print("error: cannot write standard output: broken pipe", file=sys.stderr)
-        return EXIT_OUTPUT_ERROR
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        reason = (exc.strerror or str(exc)).lower()
+        print(f"error: cannot write standard output: {reason}", file=sys.stderr)
         return EXIT_OUTPUT_ERROR
     except SaginDomeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,15 +40,6 @@ _KNOWN_KEYS = frozenset({
 SWEEP_CSV_HEADER = "param_value,vertex_angle_rad,area_km2,tangent_limited"
 POINTS_CSV_HEADER = "x_km,y_km,z_km"
 
-# Rows formatted in one chunk, of points or of a sweep.  A chunk of points
-# takes about 1.2 MB in ``_csvtext.rows_text`` (the kernel's arrays and its
-# text) at 2 048 rows, twice that at 4 096, and that is most of what a
-# streamed ``sample`` holds above its imports.  Each chunk also costs about
-# 0.1 ms of numpy call overhead, a tenth of a 2 048-row chunk's time, so
-# 4 096-row chunks would make a 2e5-point sample about 5 ms faster and
-# 1 MB larger.
-_CHUNK_ROWS = 2048
-
 
 class Descriptor(_Record):
     """A parsed descriptor: the scenario and the sampling request, every key
@@ -206,47 +197,42 @@ def dumps(payload: object, indent: int = 0) -> str:
     return json.dumps(str(payload))
 
 
-def _row_blocks(rows: int) -> Iterator[slice]:
-    """Slices of at most _CHUNK_ROWS rows that cover ``rows`` rows in order."""
-    for start in range(0, rows, _CHUNK_ROWS):
-        yield slice(start, min(start + _CHUNK_ROWS, rows))
-
-
-def _sweep_rows_text(sweep: "SweepTable", block: slice) -> str:
-    """The CSV rows of a block of a sweep table.
+def _sweep_rows_text(sweep: "SweepTable") -> str:
+    """The CSV rows of a sweep table.
 
     Failed grid points keep their parameter value and carry nan in the
-    numeric columns so plotting pipelines skip them naturally.  The block
+    numeric columns so plotting pipelines skip them naturally.  The text
     is one ``%`` over the row template repeated once per row.  ``"%.17g" % x``
     and ``format_real(x)`` make the same C call
     (``PyOS_double_to_string(x, 'g', 17, 0)``), so the text is the same.
     """
-    rows = block.stop - block.start
+    rows = len(sweep.parameter_value)
     values = [None] * (4 * rows)
-    values[0::4] = sweep.parameter_value[block]
-    values[1::4] = sweep.vertex_angle_rad[block]
-    values[2::4] = sweep.area_km2[block]
-    values[3::4] = ["true" if flag else "false" for flag in sweep.tangent_limited[block]]
+    values[0::4] = sweep.parameter_value
+    values[1::4] = sweep.vertex_angle_rad
+    values[2::4] = sweep.area_km2
+    values[3::4] = ["true" if flag else "false" for flag in sweep.tangent_limited]
     return ("%.17g,%.17g,%.17g,%s\n" * rows) % tuple(values)
 
 
 def sweep_blocks_csv_chunks(blocks: Iterable["SweepTable"]) -> Iterator[str]:
     """Consecutive tables of one sweep as its CSV text in chunks (LF line
-    endings, dot decimal separator): the header, then each table's rows, at
-    most _CHUNK_ROWS rows a chunk.  Each table is read only as its chunks are
-    made, so a stream of blocks is never held whole."""
+    endings, dot decimal separator): the header, then one chunk of rows per
+    table (``sweeps.sweep_blocks`` makes 1 024-row tables).  Each table is
+    read only as its chunk is made, so a stream of blocks is never held
+    whole."""
     yield SWEEP_CSV_HEADER + "\n"
     for sweep in blocks:
-        for block in _row_blocks(len(sweep.parameter_value)):
-            yield _sweep_rows_text(sweep, block)
+        yield _sweep_rows_text(sweep)
 
 
 def points_blocks_csv_chunks(blocks: Iterable["np.ndarray"]) -> Iterator[str]:
     """Consecutive (rows, 3) blocks of one topology's points as its CSV
-    text in chunks, one x,y,z row per point: the header, then each block's
-    rows, at most _CHUNK_ROWS rows a chunk.  Each block is read only as its
-    chunks are made, so a stream of blocks (``pointprocess.point_blocks``)
-    is never held whole.
+    text in chunks, one x,y,z row per point: the header, then one chunk of
+    rows per block (``pointprocess.point_blocks`` draws 4 096-row blocks).
+    Each block is read only as its chunk is made, so a stream of blocks is
+    never held whole.  A block's text is made at once, at about 0.5 kB a
+    point, so a whole topology is best passed in slices of such blocks.
 
     Each chunk is written by ``_csvtext.rows_text``, in the bytes of
     ``format_real``.  That module needs numpy, so it is imported here, not
@@ -257,8 +243,7 @@ def points_blocks_csv_chunks(blocks: Iterable["np.ndarray"]) -> Iterator[str]:
     yield POINTS_CSV_HEADER + "\n"
     lift_heap_thresholds()
     for points in blocks:
-        for block in _row_blocks(len(points)):
-            yield rows_text(points[block])
+        yield rows_text(points)
 
 
 def write_text_file(path: str, chunks: Iterable[str]) -> None:

@@ -56,7 +56,9 @@ MAX_SAMPLE_POINTS = 10_000_000
 # product runs on one BLAS thread.  The block boundaries are part of the
 # bytes: numpy computes the product of a one-row block through another
 # BLAS routine, which can differ in the last bit from the row of a longer
-# product, so changing this moves the last row of some draws.
+# product, so changing this moves the last row of some draws.  The CLI writes
+# each block as one chunk of CSV text, so this also sets the memory a
+# streamed sample holds for its text: about 2.3 MB a chunk (``_csvtext``).
 _BLOCK_ROWS = 4096
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: payloads, exit codes, reproducibility."""
 
+import errno
 import json
 import math
 import os
@@ -25,9 +26,14 @@ from sagindome import (
     run_sweep,
 )
 import sagindome
-from sagindome import io, pointprocess, sweeps
+from sagindome import pointprocess, sweeps
 from sagindome.cli import main
-from sagindome.io import POINTS_CSV_HEADER, format_real, sweep_blocks_csv_chunks
+from sagindome.io import (
+    POINTS_CSV_HEADER,
+    format_real,
+    points_blocks_csv_chunks,
+    sweep_blocks_csv_chunks,
+)
 from sagindome.pointprocess import MAX_SAMPLE_POINTS
 from sagindome.scenarios import MAX_SWEEP_STEPS
 from sagindome.sweeps import _BLOCK_ROWS
@@ -608,8 +614,9 @@ class TestSampleCommand:
 
     @MODES
     @pytest.mark.parametrize("block_rows, chunk_rows, count", [
-        # Seven-row blocks put many block boundaries in a small draw, and
-        # three-row chunks split each block again for its text.
+        # Seven-row blocks put many block boundaries in a small draw.  The
+        # CLI writes each block as one chunk; the same points cut into
+        # chunks of another size give the same text.
         *((7, 3, count) for count in (0, 1, 6, 7, 8, 13, 14, 15, 7 * 9 + 3)),
         *((7, 2048, count) for count in (7, 8, 7 * 9 + 3)),
         *((pointprocess._BLOCK_ROWS, 2048, count) for count in (
@@ -623,7 +630,6 @@ class TestSampleCommand:
         # from a copy of the stream advanced past the azimuths; the one-shot
         # draw takes them from one generator after all the azimuths.
         monkeypatch.setattr(pointprocess, "_BLOCK_ROWS", block_rows)
-        monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
         monkeypatch.setattr(pointprocess, "poisson_count", lambda *args: count)
         descriptor = tmp_path / "oriented.json"
         descriptor.write_text(json.dumps({
@@ -639,15 +645,18 @@ class TestSampleCommand:
         points = one_shot_points(coverage(loaded.spec), loaded.sample_config(), block_rows)
         assert len(points) == count
         # Compared as lines, so that a failure names its first row quickly.
-        assert target.read_text().split("\n") == [
+        text = target.read_text()
+        assert text.split("\n") == [
             POINTS_CSV_HEADER, *(",".join(map(format_real, row)) for row in points.tolist()), ""]
+        assert text == "".join(points_blocks_csv_chunks(
+            points[start:start + chunk_rows] for start in range(0, count, chunk_rows)))
 
     def test_streamed_sample_holds_one_block(self, tmp_path, capsys):
         # ~2e5 points: the whole draw's coordinates alone would take 4.8 MB,
         # and the draw held whole peaked at about 8.3 MB.  One block of
-        # points and the text of one chunk take about 1.3 MB; the largest
-        # allocation is the 2 MiB buffer that lifts the allocator's
-        # thresholds, freed untouched.
+        # points and its text, written as one chunk, peak at about 2.6 MB,
+        # above the 2 MiB buffer that lifts the allocator's thresholds,
+        # freed untouched.
         descriptor = tmp_path / "bulk.json"
         descriptor.write_text(S2G_DESCRIPTOR.replace("5e-6", "0.0172"))
         target = tmp_path / "points.csv"
@@ -865,3 +874,23 @@ class TestClosedStdout:
             err = process.stderr.read()
             assert process.wait(timeout=60) == 3
         assert err == b"error: cannot write standard output: broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["coverage", *G2S_MEO_FLAGS],
+        ["count", "--descriptor", "{descriptor}"],
+        ["sample", "--descriptor", "{descriptor}", "--output", "{tmp}/points.csv"],
+        ["sweep", *G2S_MEO_FLAGS, "--param", "carrier_frequency", "--from", "2e9",
+         "--to", "40e9", "--steps", "2049"],
+    ], ids=["coverage", "count", "sample", "sweep"])
+    def test_full_device_exit_3(self, argv, s2g_descriptor, tmp_path):
+        # Every write to /dev/full fails with ENOSPC, whichever buffer
+        # reaches it: a print's, a CSV chunk's or the flush at the end.
+        argv = [arg.format(descriptor=s2g_descriptor, tmp=tmp_path) for arg in argv]
+        env = dict(os.environ, PYTHONPATH=str(Path(sagindome.__file__).resolve().parents[1]))
+        with open("/dev/full", "w") as full:
+            process = subprocess.run([sys.executable, "-m", "sagindome", *argv], env=env,
+                                     stdout=full, stderr=subprocess.PIPE, timeout=60)
+        reason = os.strerror(errno.ENOSPC).lower()
+        assert process.returncode == 3
+        assert process.stderr == f"error: cannot write standard output: {reason}\n".encode()

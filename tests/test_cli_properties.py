@@ -33,10 +33,12 @@ KEYS = ("scenario", "carrier_frequency_hz", "illumination_coefficient",
         "space_altitude_km", "earth_radius_km", "density_per_km2", "rx_azimuth_deg",
         "rx_polar_deg", "seed", "mode")
 
+# Descriptor values easy to get wrong, also drawn by ``cli_diff.py``.
+HOSTILE_VALUES = [0, 0.0, -0.0, -1, -600.0, 1e308, 1.7976931348623157e308, 5e-324,
+                  10 ** 30, 10 ** 400, True, False, None, "", "600",
+                  float("nan"), float("inf"), *VALID, "area_uniform", "paper_faithful"]
 HOSTILE = st.one_of(
-    st.sampled_from([0, 0.0, -0.0, -1, -600.0, 1e308, 1.7976931348623157e308, 5e-324,
-                     10 ** 30, 10 ** 400, True, False, None, "", "600",
-                     float("nan"), float("inf"), *VALID, "area_uniform", "paper_faithful"]),
+    st.sampled_from(HOSTILE_VALUES),
     st.floats(),
     st.integers(),
     st.text(max_size=8),
@@ -113,17 +115,14 @@ def test_exit_code_and_output(descriptor_path, data):
 
 
 # Float flag values and grid bounds: argparse refuses anything else, in
-# one error: line, before the program runs.
-HOSTILE_FLOAT = st.one_of(
-    st.sampled_from([0.0, -0.0, -1.0, -600.0, 5e-324, 1e-320, 1e308,
-                     1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]),
-    st.floats(),
-)
-GRID_BOUND = st.one_of(
-    st.sampled_from([5e-324, 1e-320, 1e308, -0.0, float("inf"), float("-inf"),
-                     0.0, 1.0, 10.0, 90.0, 600.0, 20000.0, 2e9, 40e9]),
-    st.floats(-100.0, 5e10),
-)
+# one error: line, before the program runs.  The listed values are also
+# drawn by ``cli_diff.py``.
+HOSTILE_FLOATS = [0.0, -0.0, -1.0, -600.0, 5e-324, 1e-320, 1e308,
+                  1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
+HOSTILE_FLOAT = st.one_of(st.sampled_from(HOSTILE_FLOATS), st.floats())
+GRID_BOUNDS = [5e-324, 1e-320, 1e308, -0.0, float("inf"), float("-inf"),
+               0.0, 1.0, 10.0, 90.0, 600.0, 20000.0, 2e9, 40e9]
+GRID_BOUND = st.one_of(st.sampled_from(GRID_BOUNDS), st.floats(-100.0, 5e10))
 
 
 def _flag(key: str, value) -> list[str]:

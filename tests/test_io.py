@@ -26,11 +26,10 @@ from sagindome import (
     load_descriptor,
     parse_descriptor,
 )
-from sagindome import _csvtext
+from sagindome import _csvtext, pointprocess, sweeps
 from sagindome._csvtext import rows_text
 from sagindome.cli import main
 from sagindome.io import (
-    _CHUNK_ROWS,
     POINTS_CSV_HEADER,
     SWEEP_CSV_HEADER,
     dumps,
@@ -328,24 +327,33 @@ def special_points(n: int) -> np.ndarray:
     return values.reshape(n, 3)
 
 
-# Row counts on and next to block boundaries: _CHUNK_ROWS divides 16 384.
+# Row counts on and next to block boundaries: the blocks of a sample (4 096
+# rows) and of a sweep (1 024 rows) both divide 16 384.
 BOUNDARY_ROWS = 16384
 ROW_COUNTS = [0, 1, BOUNDARY_ROWS - 1, BOUNDARY_ROWS, BOUNDARY_ROWS + 1, 3 * BOUNDARY_ROWS + 7]
 
 
 def test_row_counts_sit_on_block_boundaries():
-    assert BOUNDARY_ROWS % _CHUNK_ROWS == 0 and BOUNDARY_ROWS > _CHUNK_ROWS
+    for block_rows in (pointprocess._BLOCK_ROWS, sweeps._BLOCK_ROWS):
+        assert BOUNDARY_ROWS % block_rows == 0 and BOUNDARY_ROWS > block_rows
+
+
+def blocks_of(rows, block_rows: int) -> list:
+    """Consecutive slices of ``block_rows`` rows, as a stream yields them."""
+    return [rows[start:start + block_rows] for start in range(0, len(rows), block_rows)]
 
 
 class TestChunkedCsv:
-    """The % template formatter against the per-value ``format_real`` join."""
+    """The writers against the per-value ``format_real`` join, fed the
+    blocks their streams yield: the header, then one chunk per block."""
 
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_points_bytes_equal_per_value_join(self, n):
         points = special_points(n)
-        chunks = list(points_blocks_csv_chunks([points]))
+        blocks = blocks_of(points, pointprocess._BLOCK_ROWS)
+        chunks = list(points_blocks_csv_chunks(blocks))
         assert "".join(chunks) == per_value_points_csv(points)
-        assert len(chunks) == 1 + -(-n // _CHUNK_ROWS)
+        assert [chunk.count("\n") for chunk in chunks] == [1, *map(len, blocks)]
 
     def test_points_special_values_text(self):
         text = "".join(points_blocks_csv_chunks([np.array(
@@ -359,10 +367,11 @@ class TestChunkedCsv:
         values = special_points(n)
         rows = [(p, math.nan, math.nan, False) if i % 5 == 0 else (p, phi, area, i % 3 == 0)
                 for i, (p, phi, area) in enumerate(values.tolist())]
-        chunks = list(sweep_blocks_csv_chunks([table_of(rows)]))
+        blocks = blocks_of(rows, sweeps._BLOCK_ROWS)
+        chunks = list(sweep_blocks_csv_chunks(map(table_of, blocks)))
         text = "".join(chunks)
         assert text == per_value_sweep_csv(rows)
-        assert len(chunks) == 1 + -(-n // _CHUNK_ROWS)
+        assert [chunk.count("\n") for chunk in chunks] == [1, *map(len, blocks)]
         if n > 5:
             assert ",nan,nan,false\n" in text and ",true\n" in text
 
@@ -434,7 +443,7 @@ class TestRowsText:
         # value outside [1, 1e15): written by "%.17g" alone, the array path
         # skipped.
         rng = np.random.default_rng(38)
-        values = rng.uniform(-0.9, 0.9, (_CHUNK_ROWS, 3))
+        values = rng.uniform(-0.9, 0.9, (pointprocess._BLOCK_ROWS, 3))
         specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf,
                     -math.inf, math.nan, 1e15, -1.7976931348623157e308,
                     float(np.nextafter(1.0, 0.0)), -1e-5]
@@ -492,7 +501,7 @@ class TestCsvFiles:
         header, *lines = target.read_text().splitlines()
         assert header == POINTS_CSV_HEADER
         read = np.array([[float(value) for value in line.split(",")] for line in lines])
-        assert len(points) > 3 * _CHUNK_ROWS
+        assert len(points) > 3 * pointprocess._BLOCK_ROWS
         assert read.shape == points.shape
         assert (read.view(np.uint64) == points.view(np.uint64)).all()
 
@@ -504,17 +513,18 @@ class TestCsvFiles:
         assert target.read_bytes() == b"a,b\n1,2\n3,4\n"
 
     def test_streamed_write_holds_under_half_the_text(self, tmp_path):
+        # The blocks are drawn as they are written, as the CLI does.
         dome = coverage(reference_spec(Scenario.S2G))
-        topology = generate(dome, SampleConfig(
-            density_per_km2=200_000.5 / dome.area_km2, seed=11))
-        assert topology.count > 190_000
         target = tmp_path / "points.csv"
         tracemalloc.start()
         try:
-            write_text_file(str(target), points_blocks_csv_chunks([topology.points]))
+            count, blocks = pointprocess.point_blocks(dome, SampleConfig(
+                density_per_km2=200_000.5 / dome.area_km2, seed=11))
+            write_text_file(str(target), points_blocks_csv_chunks(blocks))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert count > 190_000
         size = target.stat().st_size
         assert size > 10_000_000
         assert peak < size / 2

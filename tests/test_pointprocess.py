@@ -364,7 +364,9 @@ MODES = pytest.mark.parametrize("mode", list(SampleMode), ids=lambda m: m.value)
 
 class TestBlockedBuild:
     """``generate`` builds and rotates its points _BLOCK_ROWS at a time; the
-    bytes are those of one product over the whole draw."""
+    bytes are those of the one-shot draw rotated by one product per block.
+    (A draw ending one row past a boundary rotates that row alone, through
+    another BLAS routine than one product over the whole draw.)"""
 
     @MODES
     @pytest.mark.parametrize("block_rows, count", [
@@ -382,7 +384,7 @@ class TestBlockedBuild:
         config = oriented_config(1e-4, mode)
         points = generate(dome, config).points
         assert len(points) == count
-        assert_same_bits(points, one_shot_points(dome, config))
+        assert_same_bits(points, one_shot_points(dome, config, block_rows))
 
     @MODES
     def test_poisson_draw_across_blocks(self, s2g_spec, mode):
@@ -390,7 +392,7 @@ class TestBlockedBuild:
         config = oriented_config(25_000.5 / dome.area_km2, mode, seed=4242)
         points = generate(dome, config).points
         assert len(points) > 5 * _BLOCK_ROWS
-        assert_same_bits(points, one_shot_points(dome, config))
+        assert_same_bits(points, one_shot_points(dome, config, _BLOCK_ROWS))
 
     @MODES
     def test_peak_memory_per_point(self, s2g_spec, mode):
