@@ -298,6 +298,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
+    # Before numpy loads: a sample's per-block products are too small to
+    # gain from OpenBLAS's worker threads, whose start-up and spinning cost
+    # CPU.  A value the user set wins; in-process ``main`` calls keep theirs.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())
 
 

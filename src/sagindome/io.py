@@ -229,7 +229,7 @@ def sweep_blocks_csv_chunks(blocks: Iterable["SweepTable"]) -> Iterator[str]:
 def points_blocks_csv_chunks(blocks: Iterable["np.ndarray"]) -> Iterator[str]:
     """Consecutive (rows, 3) blocks of one topology's points as its CSV
     text in chunks, one x,y,z row per point: the header, then one chunk of
-    rows per block (``pointprocess.point_blocks`` draws 4 096-row blocks).
+    rows per block (``pointprocess.point_blocks`` draws 2 048-row blocks).
     Each block is read only as its chunk is made, so a stream of blocks is
     never held whole.  A block's text is made at once, at about 0.5 kB a
     point, so a whole topology is best passed in slices of such blocks.

@@ -21,7 +21,9 @@ each block takes its azimuths from the seeded generator and its polar
 uniforms from a copy of it advanced by ``count`` (``PCG64.advance``), or,
 when the draw fits one block, from the seeded generator after the
 azimuths.  ``generate`` and the ``sample`` command are built on it, so a
-streamed sample holds one block whatever its count.  It is the package's
+streamed sample holds one block whatever its count.  No row is rotated on
+its own unless the draw is one row, so the points are those of one matrix
+product over the whole draw, whatever the block size.  It is the package's
 only angle sampler; the tests draw whole angle arrays in one go with their
 own one-shot oracle and compare its blocks with them bit for bit.  It checks
 no record again: a ``DomeGeometry`` holds a vertex angle in [0, pi] and a
@@ -51,15 +53,17 @@ _POISSON_REJECTION_THRESHOLD = 30
 # whatever the count.
 MAX_SAMPLE_POINTS = 10_000_000
 
-# Points drawn, built and rotated at a time.  A block's angles and unrotated
-# coordinates stay small next to the draw, and its (rows, 3) @ (3, 3)
-# product runs on one BLAS thread.  The block boundaries are part of the
-# bytes: numpy computes the product of a one-row block through another
-# BLAS routine, which can differ in the last bit from the row of a longer
-# product, so changing this moves the last row of some draws.  The CLI writes
-# each block as one chunk of CSV text, so this also sets the memory a
-# streamed sample holds for its text: about 2.3 MB a chunk (``_csvtext``).
-_BLOCK_ROWS = 4096
+# Points drawn, built and rotated at a time: a block has at most
+# _BLOCK_ROWS + 1 rows and is never a one-row tail.  A block's angles and
+# unrotated coordinates stay small next to the draw, and its (rows, 3) @
+# (3, 3) product runs on one BLAS thread.  numpy computes the product of a
+# one-row block through another BLAS routine, which can differ in the last
+# bit from the row of a longer product, so the last row of a draw joins the
+# block before it; then the block boundaries are not part of the bytes.  So
+# this must be at least 2.  The CLI writes each block as one chunk of CSV
+# text, so this also sets the memory a streamed sample holds for its text:
+# about 1.2 MB a chunk (``_csvtext``).
+_BLOCK_ROWS = 2048
 
 
 class Topology(_Record):
@@ -165,19 +169,21 @@ def yaw_pitch_matrix(rx_azimuth_rad: float, rx_polar_rad: float) -> np.ndarray:
 def point_blocks(dome: DomeGeometry,
                  config: SampleConfig) -> tuple[int, Iterator[np.ndarray]]:
     """The count of a seeded topology inside the coverage dome, and its
-    points as consecutive (rows, 3) blocks of at most _BLOCK_ROWS rows.
+    points as consecutive (rows, 3) blocks of _BLOCK_ROWS rows; the last
+    block has 2 to _BLOCK_ROWS + 1 rows, or 1 when the draw is one row.
 
     The count is drawn and every check made in this call; the blocks are
     drawn, built and rotated only as they are taken, so a caller that writes
     each block as it comes holds one block whatever the count.  The points
-    are those of drawing all azimuths, then all polar angles, in one go.
+    are those of drawing all azimuths, then all polar angles, in one go,
+    and rotating them by one matrix product.
     """
     rng = make_rng(config.seed)
     count = poisson_count(config.density_per_km2, dome.area_km2, rng)
     # The polar uniforms begin ``count`` outputs on (see the module
     # docstring); a draw of one block reaches them after its azimuths.
     polar_rng = rng
-    if count > _BLOCK_ROWS:
+    if count > _BLOCK_ROWS + 1:
         polar_rng = copy.deepcopy(rng)
         polar_rng.bit_generator.advance(count)
     rotation = yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad)
@@ -190,8 +196,9 @@ def _blocks(dome: DomeGeometry, mode: SampleMode, rotation: np.ndarray, count: i
     its points on the transmitter sphere, then rotated onto the receiver
     direction."""
     r_t = dome.transmitter_radius_km
-    for start in range(0, count, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, count - start)
+    while count:
+        rows = count if count <= _BLOCK_ROWS + 1 else _BLOCK_ROWS
+        count -= rows
         azimuth = 2.0 * math.pi * rng.random(rows)
         polar = _polar_angles(dome.vertex_angle_rad, mode, polar_rng.random(rows))
         local = np.empty((rows, 3))
@@ -210,12 +217,12 @@ def generate(dome: DomeGeometry, config: SampleConfig) -> Topology:
     direction (sin(polar)cos(azimuth), sin(polar)sin(azimuth), cos(polar)).
     The points are those of ``point_blocks``, copied block by block into the
     result, so no unrotated copy of the whole draw and no whole angle array
-    is held; a draw of one block is returned as it is.
+    is held.
     """
     count, blocks = point_blocks(dome, config)
-    if count <= _BLOCK_ROWS:
-        return Topology(next(blocks, np.empty((0, 3))))
     points = np.empty((count, 3))
-    for start, block in zip(range(0, count, _BLOCK_ROWS), blocks):
-        points[start:start + _BLOCK_ROWS] = block
+    start = 0
+    for block in blocks:
+        points[start:start + len(block)] = block
+        start += len(block)
     return Topology(points)

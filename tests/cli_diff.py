@@ -9,8 +9,9 @@ Run from the repository root::
 Each tree is a ``src`` directory that holds the ``sagindome`` package.  The
 invocations are drawn once, from the hostile values of
 ``test_cli_properties.py``, grids across interval ends and 1 024-row sweep
-blocks, samples in both modes with counts on and next to the 4 096-row
-sample blocks, and ``--output`` files.  They are replayed in-process, in one
+blocks, samples in both modes on the s2g reference dome and on small a2g and
+g2s domes with counts on and next to the 2 048-row sample blocks, and
+``--output`` files.  They are replayed in-process, in one
 child process per tree, each invocation in a directory of its own with
 relative paths, so no absolute path enters the comparison.  For each
 one the exit code, standard output, standard error and every file written
@@ -45,8 +46,13 @@ FIELDS = ("exit", "stdout", "stderr", "files")
 _CYCLE = ("coverage", "sweep", "sample", "count", "sweep", "sample")
 # Sweep grids on and next to multiples of the 1 024-row block, and small ones.
 _SWEEP_STEPS = (2, 3, 17, 1023, 1024, 1025, 2047, 2048, 2049, 3073)
-# Sample counts on and next to multiples of the 4 096-row block.
-_SAMPLE_COUNTS = (0, 1, 4095, 4096, 4097, 8191, 8192, 8193)
+# Sample counts on and next to multiples of the 2 048-row block, among them
+# counts 1 more than a multiple of 4 096, whose last row a tree that rotates
+# a one-row tail of 4 096-row blocks computes by another BLAS routine.
+_SAMPLE_COUNTS = (0, 1, 2047, 2048, 2049, 4095, 4096, 4097, 6145, 8192, 8193)
+# Sample domes: the s2g reference dome and two small ones, on which those
+# counts take densities of about 1 to 5 per km^2.
+_SAMPLE_SCENARIOS = ("s2g", "a2g", "g2s")
 # Grid bounds in CLI units that cross the ends of each parameter's interval.
 _SWEEP_RANGES = {
     "carrier_frequency": [(2e9, 40e9), (1e8, 5e10), (-1e8, 2.4e9)],
@@ -54,7 +60,6 @@ _SWEEP_RANGES = {
     "air_altitude": [(1.0, 10.0), (0.0, 30000.0), (-5.0, 25000.0)],
     "space_altitude": [(500.0, 600.0), (100.0, 40000.0), (-100.0, 1000.0)],
 }
-_S2G = {"scenario": "s2g", "space_altitude_km": 600, "min_elevation_deg": 10}
 _DESCRIPTOR = "descriptor.json"
 _CAPTURED = {"exit": "_exit", "stdout": "_stdout", "stderr": "_stderr"}
 
@@ -148,16 +153,18 @@ def _seed_for_count(rng: random.Random, density: float, area: float, count: int)
     return seed
 
 
-def _sample(rng: random.Random, area: float) -> dict:
-    from test_cli_properties import HOSTILE_VALUES, KEYS
+def _sample(rng: random.Random, areas: dict[str, float]) -> dict:
+    from test_cli_properties import HOSTILE_VALUES, KEYS, VALID
 
     output = rng.choice(["points.csv"] * 5 + ["missing/points.csv"])
     if rng.random() < 0.3:
         data = _descriptor(rng, HOSTILE_VALUES, KEYS)
     else:
+        scenario = rng.choice(_SAMPLE_SCENARIOS)
+        area = areas[scenario]
         count = rng.choice(_SAMPLE_COUNTS)
         density = (count + 0.5) / area
-        data = {**_S2G, "density_per_km2": density,
+        data = {"scenario": scenario, **VALID[scenario], "density_per_km2": density,
                 "seed": _seed_for_count(rng, density, area, count),
                 "mode": rng.choice(["area_uniform", "paper_faithful"])}
         if rng.random() < 0.7:
@@ -170,11 +177,13 @@ def draw_invocations(count: int, seed: int) -> list[dict]:
     """``count`` invocations, each an argv and the input files it reads.
     The package importable here finds the seeds of the sample counts."""
     from sagindome import coverage, parse_descriptor
+    from test_cli_properties import VALID
 
     rng = random.Random(seed)
-    area = coverage(parse_descriptor(_S2G).spec).area_km2
+    areas = {scenario: coverage(parse_descriptor({"scenario": scenario, **VALID[scenario]})
+                                .spec).area_km2 for scenario in _SAMPLE_SCENARIOS}
     draw = {"coverage": _coverage, "count": _count, "sweep": _sweep,
-            "sample": lambda rng: _sample(rng, area)}
+            "sample": lambda rng: _sample(rng, areas)}
     return [draw[_CYCLE[index % len(_CYCLE)]](rng) for index in range(count)]
 
 

@@ -619,16 +619,17 @@ class TestSampleCommand:
         # chunks of another size give the same text.
         *((7, 3, count) for count in (0, 1, 6, 7, 8, 13, 14, 15, 7 * 9 + 3)),
         *((7, 2048, count) for count in (7, 8, 7 * 9 + 3)),
-        *((pointprocess._BLOCK_ROWS, 2048, count) for count in (
-            pointprocess._BLOCK_ROWS - 1, pointprocess._BLOCK_ROWS,
-            pointprocess._BLOCK_ROWS + 1, 2 * pointprocess._BLOCK_ROWS + 1)),
+        # A second large block size shows that the bytes do not follow it.
+        *((rows, 2048, count) for rows in (pointprocess._BLOCK_ROWS, 4096)
+          for count in (rows - 1, rows, rows + 1, 2 * rows + 1)),
     ])
     def test_streamed_blocks_match_the_one_shot_draw(self, mode, block_rows, chunk_rows,
                                                      count, tmp_path, capsys, monkeypatch):
         # The count is fixed so that draws end on and next to block
         # boundaries.  A draw of more than one block takes its polar uniforms
         # from a copy of the stream advanced past the azimuths; the one-shot
-        # draw takes them from one generator after all the azimuths.
+        # draw takes them from one generator after all the azimuths and
+        # rotates the whole draw by one product.
         monkeypatch.setattr(pointprocess, "_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(pointprocess, "poisson_count", lambda *args: count)
         descriptor = tmp_path / "oriented.json"
@@ -642,7 +643,7 @@ class TestSampleCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["count"] == count
         loaded = load_descriptor(str(descriptor))
-        points = one_shot_points(coverage(loaded.spec), loaded.sample_config(), block_rows)
+        points = one_shot_points(coverage(loaded.spec), loaded.sample_config())
         assert len(points) == count
         # Compared as lines, so that a failure names its first row quickly.
         text = target.read_text()
@@ -653,10 +654,10 @@ class TestSampleCommand:
 
     def test_streamed_sample_holds_one_block(self, tmp_path, capsys):
         # ~2e5 points: the whole draw's coordinates alone would take 4.8 MB,
-        # and the draw held whole peaked at about 8.3 MB.  One block of
-        # points and its text, written as one chunk, peak at about 2.6 MB,
-        # above the 2 MiB buffer that lifts the allocator's thresholds,
-        # freed untouched.
+        # and the draw held whole peaked at about 8.3 MB.  One block of 2 048
+        # points and its text, written as one chunk, take about 1.2 MB, so
+        # the peak, about 2.3 MB, is the 2 MiB buffer that lifts the
+        # allocator's thresholds, freed untouched.
         descriptor = tmp_path / "bulk.json"
         descriptor.write_text(S2G_DESCRIPTOR.replace("5e-6", "0.0172"))
         target = tmp_path / "points.csv"

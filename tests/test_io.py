@@ -327,7 +327,7 @@ def special_points(n: int) -> np.ndarray:
     return values.reshape(n, 3)
 
 
-# Row counts on and next to block boundaries: the blocks of a sample (4 096
+# Row counts on and next to block boundaries: the blocks of a sample (2 048
 # rows) and of a sweep (1 024 rows) both divide 16 384.
 BOUNDARY_ROWS = 16384
 ROW_COUNTS = [0, 1, BOUNDARY_ROWS - 1, BOUNDARY_ROWS, BOUNDARY_ROWS + 1, 3 * BOUNDARY_ROWS + 7]
@@ -339,7 +339,8 @@ def test_row_counts_sit_on_block_boundaries():
 
 
 def blocks_of(rows, block_rows: int) -> list:
-    """Consecutive slices of ``block_rows`` rows, as a stream yields them."""
+    """Consecutive slices of ``block_rows`` rows, as a sweep yields them (a
+    sample's last block also takes a one-row tail)."""
     return [rows[start:start + block_rows] for start in range(0, len(rows), block_rows)]
 
 

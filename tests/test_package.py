@@ -121,6 +121,39 @@ class TestStartup:
         assert points.read_text().startswith("x_km,y_km,z_km\n")
 
 
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="counts threads through Linux's /proc/self/task")
+    @pytest.mark.parametrize("user_value", [None, "2"])
+    def test_sample_process_blas_threads(self, s2g_descriptor, tmp_path, user_value):
+        # A sitecustomize module on the path reports, at exit of `python -m
+        # sagindome sample`, the process's threads and the variable.
+        hook = tmp_path / "hook"
+        hook.mkdir()
+        (hook / "sitecustomize.py").write_text(
+            "import atexit, os\n"
+            "def report():\n"
+            "    with open(os.environ['THREADS_REPORT'], 'w') as out:\n"
+            "        print(len(os.listdir('/proc/self/task')),\n"
+            "              os.environ.get('OPENBLAS_NUM_THREADS'), file=out)\n"
+            "atexit.register(report)\n")
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(hook), str(Path(sagindome.__file__).resolve().parents[1])])
+        env["THREADS_REPORT"] = str(tmp_path / "report")
+        if user_value:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        completed = subprocess.run(
+            [sys.executable, "-m", "sagindome", "sample", "--descriptor", s2g_descriptor,
+             "--output", str(tmp_path / "points.csv")],
+            env=env, capture_output=True, text=True, timeout=120, check=False)
+        assert completed.returncode == 0, completed.stderr
+        threads, value = (tmp_path / "report").read_text().split()
+        if user_value:
+            assert value == user_value
+        else:
+            assert (threads, value) == ("1", "1")
+
+
 class TestPackageSurface:
     def test_every_public_name_resolves(self):
         resolved = run_fresh(

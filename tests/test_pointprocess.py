@@ -5,8 +5,14 @@ levels (1%) leave the checks sensitive to real distribution bugs while the
 pinned seeds keep the suite deterministic.
 """
 
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,14 +330,11 @@ def sample_cap_angles(vertex_angle_rad: float, count: int, mode: SampleMode,
     return azimuth, _polar_angles(vertex_angle_rad, mode, rng.random(count))
 
 
-def one_shot_points(dome: DomeGeometry, config: SampleConfig,
-                    block_rows: int | None = None) -> np.ndarray:
+def one_shot_points(dome: DomeGeometry, config: SampleConfig) -> np.ndarray:
     """The draw ``generate`` makes, its angles drawn whole from one generator
     in the stream's order, its points built as one column stack and rotated
-    by one matrix product, or by one product for each ``block_rows`` rows.
-    (numpy computes a one-row product through another BLAS routine, which
-    can differ in the last bit.)  The count comes through the module, as in
-    ``generate``, so that a test can fix it."""
+    by one matrix product over the whole draw.  The count comes through the
+    module, as in ``generate``, so that a test can fix it."""
     rng = make_rng(config.seed)
     count = pointprocess.poisson_count(config.density_per_km2, dome.area_km2, rng)
     azimuth, polar = sample_cap_angles(dome.vertex_angle_rad, count, config.mode, rng)
@@ -342,11 +345,7 @@ def one_shot_points(dome: DomeGeometry, config: SampleConfig,
         r_t * sin_polar * np.sin(azimuth),
         r_t * np.cos(polar),
     ))
-    rotation = yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad)
-    if block_rows is None:
-        return local @ rotation.T
-    return np.concatenate([local[start:start + block_rows] @ rotation.T
-                           for start in range(0, count, block_rows)] or [local])
+    return local @ yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad).T
 
 
 def oriented_config(density: float, mode: SampleMode, seed: int = 2024) -> SampleConfig:
@@ -362,18 +361,59 @@ def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
 MODES = pytest.mark.parametrize("mode", list(SampleMode), ids=lambda m: m.value)
 
 
+# Compares ``generate`` with the one-shot draw for block sizes 2, 7 and
+# _BLOCK_ROWS, both modes, at counts on and next to the block boundaries,
+# and prints the draws made, the differing ones and OpenBLAS's core name
+# (None where it cannot be read).
+_KERNEL_CHILD = """
+import ctypes, json
+from sagindome import Scenario, SampleMode, coverage, generate, pointprocess
+from conftest import reference_spec
+from test_pointprocess import one_shot_points, oriented_config
+
+dome = coverage(reference_spec(Scenario.S2G))
+draws, differing = 0, []
+for rows in (2, 7, pointprocess._BLOCK_ROWS):
+    pointprocess._BLOCK_ROWS = rows
+    for count in sorted({0, 1, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1, 3 * rows + 5}):
+        pointprocess.poisson_count = lambda *args: count
+        for mode in SampleMode:
+            config = oriented_config(1e-4, mode)
+            draws += 1
+            if generate(dome, config).points.tobytes() != one_shot_points(dome, config).tobytes():
+                differing.append([rows, count, mode.value])
+corename = None
+try:
+    # numpy's own OpenBLAS, not the one scipy may have loaded beside it.
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line}
+    library = ctypes.CDLL(min(paths, key=lambda path: "numpy" not in path))
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                 "openblas_get_corename"):
+        if hasattr(library, name):
+            getter = getattr(library, name)
+            getter.restype = ctypes.c_char_p
+            corename = getter().decode()
+            break
+except (OSError, ValueError):
+    pass
+print(json.dumps({"draws": draws, "differing": differing, "corename": corename}))
+"""
+
+
 class TestBlockedBuild:
     """``generate`` builds and rotates its points _BLOCK_ROWS at a time; the
-    bytes are those of the one-shot draw rotated by one product per block.
-    (A draw ending one row past a boundary rotates that row alone, through
-    another BLAS routine than one product over the whole draw.)"""
+    bytes are those of the one-shot draw rotated by one product over the
+    whole draw, whatever the block size, since no block is a one-row tail."""
 
     @MODES
     @pytest.mark.parametrize("block_rows, count", [
-        # A block of 7 rows puts many block boundaries in a small draw.
-        *((7, count) for count in (0, 1, 6, 7, 8, 13, 14, 15, 7 * 9 + 3)),
-        *((_BLOCK_ROWS, count) for count in (_BLOCK_ROWS - 1, _BLOCK_ROWS,
-                                             _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5)),
+        # Blocks of 2 and 7 rows put many block boundaries in a small draw;
+        # a second large block size shows that the bytes do not follow it.
+        *((2, count) for count in (0, 1, 2, 3, 4, 5, 2 * 9 + 1)),
+        *((7, count) for count in (0, 1, 6, 7, 8, 13, 14, 15, 16, 7 * 9 + 3)),
+        *((rows, count) for rows in (_BLOCK_ROWS, 4096)
+          for count in (rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1, 3 * rows + 5)),
     ])
     def test_counts_on_and_next_to_block_boundaries(self, s2g_spec, monkeypatch, mode,
                                                     block_rows, count):
@@ -384,7 +424,36 @@ class TestBlockedBuild:
         config = oriented_config(1e-4, mode)
         points = generate(dome, config).points
         assert len(points) == count
-        assert_same_bits(points, one_shot_points(dome, config, block_rows))
+        assert_same_bits(points, one_shot_points(dome, config))
+
+    @pytest.mark.parametrize("coretype, flag", [
+        ("Nehalem", "sse4_2"), ("Sandybridge", "avx"), (None, None)])
+    def test_same_bits_on_other_blas_kernels(self, coretype, flag):
+        # The default kernel here may use FMA; the older ones do not.  Each
+        # child compares draws ending on and next to boundaries of blocks of
+        # 2, 7 and _BLOCK_ROWS rows with the one-shot draw.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas or platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip(f"needs OpenBLAS on x86-64, not {blas} on {platform.machine()}")
+        if flag:
+            try:
+                flags = Path("/proc/cpuinfo").read_text().split()
+            except OSError:
+                pytest.skip("cannot read the CPU flags from /proc/cpuinfo")
+            if flag not in flags:
+                pytest.skip(f"OpenBLAS's {coretype} kernel needs {flag}")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(pointprocess.__file__).parents[1]), str(Path(__file__).parent)]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        child = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], env=env,
+                               capture_output=True, text=True, timeout=120, check=False)
+        assert child.returncode == 0, child.stderr
+        result = json.loads(child.stdout)
+        assert result["differing"] == [] and result["draws"] == 46
+        if coretype and result["corename"] is not None:
+            assert result["corename"].lower() == coretype.lower()
 
     @MODES
     def test_poisson_draw_across_blocks(self, s2g_spec, mode):
@@ -392,7 +461,7 @@ class TestBlockedBuild:
         config = oriented_config(25_000.5 / dome.area_km2, mode, seed=4242)
         points = generate(dome, config).points
         assert len(points) > 5 * _BLOCK_ROWS
-        assert_same_bits(points, one_shot_points(dome, config, _BLOCK_ROWS))
+        assert_same_bits(points, one_shot_points(dome, config))
 
     @MODES
     def test_peak_memory_per_point(self, s2g_spec, mode):
