@@ -7,12 +7,10 @@ from .errors import (
     DescriptorError,
     InvalidGeometryError,
     InvalidParameterError,
-    NumericDomainError,
     OutputError,
     SaginDomeError,
 )
 from .geometry import (
-    CLAMP_TOLERANCE,
     DEFAULT_EARTH_RADIUS_KM,
     LIGHT_SPEED_M_PER_S,
     AntennaConfig,
@@ -66,13 +64,12 @@ def __dir__() -> list[str]:
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaConfig", "CLAMP_TOLERANCE", "DEFAULT_EARTH_RADIUS_KM", "Descriptor",
-    "DescriptorError", "Direction", "DomeGeometry", "InvalidGeometryError",
-    "InvalidParameterError", "LIGHT_SPEED_M_PER_S", "Layer", "NumericDomainError",
-    "OutputError", "RangeViolation", "SaginDomeError", "SampleConfig", "SampleMode",
-    "Scenario", "ScenarioSpec", "SweepParameter", "SweepScale", "SweepSpec", "SweepTable",
-    "Topology", "cap_area", "coverage", "expected_count", "full_sphere_count",
-    "generate", "half_power_beamwidth", "load_descriptor", "make_rng",
-    "parse_descriptor", "poisson_count", "run_sweep", "validate",
-    "vertex_angle_downlink", "vertex_angle_uplink", "yaw_pitch_matrix",
+    "AntennaConfig", "DEFAULT_EARTH_RADIUS_KM", "Descriptor", "DescriptorError",
+    "Direction", "DomeGeometry", "InvalidGeometryError", "InvalidParameterError",
+    "LIGHT_SPEED_M_PER_S", "Layer", "OutputError", "RangeViolation", "SaginDomeError",
+    "SampleConfig", "SampleMode", "Scenario", "ScenarioSpec", "SweepParameter",
+    "SweepScale", "SweepSpec", "SweepTable", "Topology", "cap_area", "coverage",
+    "expected_count", "full_sphere_count", "generate", "half_power_beamwidth",
+    "load_descriptor", "make_rng", "parse_descriptor", "poisson_count", "run_sweep",
+    "validate", "vertex_angle_downlink", "vertex_angle_uplink", "yaw_pitch_matrix",
 ]

@@ -13,10 +13,6 @@ class InvalidGeometryError(SaginDomeError, ValueError):
     """Radii or altitudes are ordered inconsistently with the link direction."""
 
 
-class NumericDomainError(SaginDomeError, ArithmeticError):
-    """An inverse-trig argument left [-1, 1] by more than the clamp tolerance."""
-
-
 class DescriptorError(SaginDomeError, ValueError):
     """A scenario descriptor is malformed or inconsistent."""
 

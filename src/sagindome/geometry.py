@@ -7,9 +7,9 @@ and the expected node counts of a cap and of a whole sphere.
 
 Each closed form is a public function that checks its arguments and a
 private body (``_vertex_angle_uplink``, ``_vertex_angle_downlink``,
-``_cap_area``) that evaluates them unchecked, clamps included.  Callers that
-have already checked their values, as ``scenarios._resolve`` has for
-``coverage`` and every sweep row, call the bodies.
+``_cap_area``) that evaluates them unchecked.  Callers that have already
+checked their values, as ``scenarios._resolve`` has for ``coverage`` and
+every sweep row, call the bodies.
 
 Every angle crossing these functions is in radians and every length in
 kilometres.  The single deliberate exception is the reflector-antenna
@@ -19,18 +19,10 @@ its one point of evaluation, ``_beamwidth`` (behind ``half_power_beamwidth``).
 
 import math
 
-from .errors import (
-    InvalidGeometryError,
-    InvalidParameterError,
-    NumericDomainError,
-)
+from .errors import InvalidGeometryError, InvalidParameterError
 
 DEFAULT_EARTH_RADIUS_KM = 6371.0
 LIGHT_SPEED_M_PER_S = 2.998e8
-
-# Inverse-trig arguments within this distance outside [-1, 1] are float
-# noise and get clamped; anything farther out is a real geometry bug.
-CLAMP_TOLERANCE = 1e-12
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -71,28 +63,6 @@ def _check_downlink_domain(elevation_rad: float, r_t_km: float, r_r_km: float) -
     if not 0.0 <= elevation_rad <= 0.5 * math.pi:
         raise InvalidParameterError(
             f"elevation_rad must lie in [0, pi/2], got {elevation_rad!r}")
-
-
-def _clamp_cosine(value: float, what: str) -> float:
-    """Clamp an arccos/arcsin argument to [-1, 1] within CLAMP_TOLERANCE."""
-    if value > 1.0:
-        if value - 1.0 > CLAMP_TOLERANCE:
-            raise NumericDomainError(f"{what} = {value!r} exceeds 1 beyond tolerance")
-        return 1.0
-    if value < -1.0:
-        if -1.0 - value > CLAMP_TOLERANCE:
-            raise NumericDomainError(f"{what} = {value!r} is below -1 beyond tolerance")
-        return -1.0
-    return value
-
-
-def _clamp_nonnegative(value: float, what: str) -> float:
-    """Clamp a square-root radicand to >= 0 within CLAMP_TOLERANCE."""
-    if value < 0.0:
-        if -value > CLAMP_TOLERANCE:
-            raise NumericDomainError(f"{what} = {value!r} is negative beyond tolerance")
-        return 0.0
-    return value
 
 
 class _Record:
@@ -235,9 +205,11 @@ def _vertex_angle_uplink(beamwidth_rad: float, r_t_km: float,
         return math.acos(ratio), True
     k = r_r_km / r_t_km
     s = math.sin(half)
-    radicand = _clamp_nonnegative(1.0 - (k * s) ** 2, "uplink radicand")
+    # Rounding can leave the radicand a few ulps below 0 and delta, a sum of
+    # terms >= 0, a few ulps above 1.
+    radicand = max(1.0 - (k * s) ** 2, 0.0)
     delta = k * s * s + math.cos(half) * math.sqrt(radicand)
-    return math.acos(_clamp_cosine(delta, "uplink delta")), False
+    return math.acos(min(delta, 1.0)), False
 
 
 def vertex_angle_downlink(elevation_rad: float, r_t_km: float, r_r_km: float) -> float:
@@ -257,9 +229,11 @@ def _vertex_angle_downlink(elevation_rad: float, r_t_km: float, r_r_km: float) -
     """``vertex_angle_downlink`` of arguments inside its domain, unchecked."""
     k = r_r_km / r_t_km
     c = math.cos(elevation_rad)
-    radicand = _clamp_nonnegative(1.0 - (k * c) ** 2, "downlink radicand")
-    delta = k * c * c + math.sin(elevation_rad) * math.sqrt(radicand)
-    return math.acos(_clamp_cosine(delta, "downlink delta"))
+    # With c <= 1, k*c rounds to at most k < 1, and a double below 1 squares
+    # to at most 1 - 2**-52: the radicand is positive, and needs no clamp.
+    # delta, a sum of terms >= 0, can round a few ulps above 1.
+    delta = k * c * c + math.sin(elevation_rad) * math.sqrt(1.0 - (k * c) ** 2)
+    return math.acos(min(delta, 1.0))
 
 
 def cap_area(r_t_km: float, vertex_angle_rad: float) -> float:

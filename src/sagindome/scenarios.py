@@ -243,11 +243,11 @@ def _resolve(spec: ScenarioSpec, values: list) -> tuple[float, float, float, flo
     what such values can still fail, and then evaluates the closed forms'
     unchecked bodies: an uplink's beamwidth, formed from the values' carrier
     frequency, that underflows or leaves (0, pi); radii that round to the
-    same value; radii that overflow to inf; the closed forms' clamps; an
-    area that overflows.  The rounding of a radius is monotonic, so valid
-    altitudes can break the radius order only by rounding to equal radii;
-    that is refused in the names of the inputs, not of the radii.  Every
-    other fault is named by the public check it fails, called only then.
+    same value; radii that overflow to inf; an area that overflows.  The
+    rounding of a radius is monotonic, so valid altitudes can break the
+    radius order only by rounding to equal radii; that is refused in the
+    names of the inputs, not of the radii.  Every other fault is named by
+    the public check it fails, called only then.
     """
     frequency, elevation, air, space = values
     earth, antenna = spec.earth_radius_km, spec.antenna

@@ -1,14 +1,15 @@
 """Test oracles: the difference-of-angles forms of the vertex angle, which
-share no code with the arccos(delta) closed forms they check, and, on the
-transmitter sphere, the cap centre of a receiver direction and the angle
-between point vectors and that centre."""
+share the domain checks (``_check_*_domain``) with the arccos(delta) closed
+forms they check but not the forms or any clamp, and, on the transmitter
+sphere, the cap centre of a receiver direction and the angle between point
+vectors and that centre."""
 
 import math
 
 import numpy as np
 
 from sagindome.errors import InvalidParameterError
-from sagindome.geometry import _check_downlink_domain, _check_uplink_domain, _clamp_cosine
+from sagindome.geometry import _check_downlink_domain, _check_uplink_domain
 
 
 class UnsupportedBranchError(ValueError):
@@ -27,8 +28,8 @@ def vertex_angle_uplink_oracle(beamwidth_rad: float, r_t_km: float,
     if half > math.asin(r_t_km / r_r_km):
         raise UnsupportedBranchError(
             "tangent-limited inputs are outside the difference-form derivation")
-    sine = _clamp_cosine((r_r_km / r_t_km) * math.sin(half), "uplink oracle sine")
-    return math.asin(sine) - half
+    # The sine is >= 0, and rounding can take it a few ulps above 1.
+    return math.asin(min((r_r_km / r_t_km) * math.sin(half), 1.0)) - half
 
 
 def vertex_angle_downlink_oracle(elevation_rad: float, r_t_km: float,
@@ -37,9 +38,7 @@ def vertex_angle_downlink_oracle(elevation_rad: float, r_t_km: float,
     arccos((R_r/R_t) cos(alpha)) - alpha, on the domain of
     ``vertex_angle_downlink``."""
     _check_downlink_domain(elevation_rad, r_t_km, r_r_km)
-    cosine = _clamp_cosine((r_r_km / r_t_km) * math.cos(elevation_rad),
-                           "downlink oracle cosine")
-    return math.acos(cosine) - elevation_rad
+    return math.acos(min((r_r_km / r_t_km) * math.cos(elevation_rad), 1.0)) - elevation_rad
 
 
 def cap_center_direction(rx_azimuth_rad: float, rx_polar_rad: float) -> np.ndarray:

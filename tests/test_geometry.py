@@ -20,13 +20,11 @@ from sagindome import (
     InvalidGeometryError,
     InvalidParameterError,
     LIGHT_SPEED_M_PER_S,
-    NumericDomainError,
     cap_area,
     half_power_beamwidth,
     vertex_angle_downlink,
     vertex_angle_uplink,
 )
-from sagindome.geometry import _clamp_cosine, _clamp_nonnegative
 from cap_oracles import (
     UnsupportedBranchError,
     vertex_angle_downlink_oracle,
@@ -311,18 +309,51 @@ class TestOracleForms:
             assert abs(closed - oracle) < 1e-9
 
 
-class TestClampRule:
-    def test_noise_is_clamped_silently(self):
-        assert _clamp_cosine(1.0 + 1e-13, "x") == 1.0
-        assert _clamp_cosine(-1.0 - 1e-13, "x") == -1.0
-        assert _clamp_cosine(0.5, "x") == 0.5
-        assert _clamp_nonnegative(-1e-13, "x") == 0.0
-        assert _clamp_nonnegative(0.25, "x") == 0.25
+def _uplink_radicand(beamwidth_rad, r_t_km, r_r_km):
+    return 1.0 - (r_r_km / r_t_km * math.sin(0.5 * beamwidth_rad)) ** 2
 
-    def test_gross_violations_raise(self):
-        with pytest.raises(NumericDomainError):
-            _clamp_cosine(1.0 + 1e-11, "x")
-        with pytest.raises(NumericDomainError):
-            _clamp_cosine(-1.0 - 1e-11, "x")
-        with pytest.raises(NumericDomainError):
-            _clamp_nonnegative(-1e-11, "x")
+
+def _uplink_delta(beamwidth_rad, r_t_km, r_r_km):
+    half, k = 0.5 * beamwidth_rad, r_r_km / r_t_km
+    s = math.sin(half)
+    return (k * s * s + math.cos(half)
+            * math.sqrt(_uplink_radicand(beamwidth_rad, r_t_km, r_r_km)))
+
+
+def _uplink_cap_angle(beamwidth_rad, r_t_km, r_r_km):
+    angle, tangent_limited = vertex_angle_uplink(beamwidth_rad, r_t_km, r_r_km)
+    assert not tangent_limited
+    return angle
+
+
+def _downlink_delta(elevation_rad, r_t_km, r_r_km):
+    k, c = r_r_km / r_t_km, math.cos(elevation_rad)
+    return k * c * c + math.sin(elevation_rad) * math.sqrt(1.0 - (k * c) ** 2)
+
+
+class TestFloatNoise:
+    """Rounding can leave the uplink radicand a few ulps below 0 and either
+    delta a few ulps above 1; the closed forms clamp that noise silently."""
+
+    # Valid inputs, each with how far rounding takes the unclamped value past
+    # its bound: the uplink at its tangent limit, and two tiny caps.
+    @pytest.mark.parametrize("angle_of,args,excess", [
+        pytest.param(_uplink_cap_angle, (2.0 * math.asin(3.0 / 3.03), 3.0, 3.03),
+                     lambda *a: -_uplink_radicand(*a), id="uplink-radicand"),
+        pytest.param(_uplink_cap_angle, (0.001, 1.0, 1.00001),
+                     lambda *a: _uplink_delta(*a) - 1.0, id="uplink-delta"),
+        pytest.param(vertex_angle_downlink, (1.225, 1.00000001, 1.0),
+                     lambda *a: _downlink_delta(*a) - 1.0, id="downlink-delta"),
+    ])
+    def test_float_noise_is_clamped(self, angle_of, args, excess):
+        assert excess(*args) > 0.0
+        angle = angle_of(*args)
+        assert math.isfinite(angle) and 0.0 <= angle < 0.5 * math.pi
+
+    @pytest.mark.parametrize("r_t", [1e-3, 1.0, 6371.0, 1e8])
+    def test_downlink_radicand_stays_positive_at_the_closest_radii(self, r_t):
+        # The radicand's one clamp-free edge: zero elevation and the largest
+        # receiver radius below the transmitter's.
+        r_r = math.nextafter(r_t, 0.0)
+        assert 1.0 - (r_r / r_t) ** 2 > 0.0
+        assert 0.0 < vertex_angle_downlink(0.0, r_t, r_r) < 1e-7

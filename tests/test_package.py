@@ -173,7 +173,7 @@ class TestPackageSurface:
     def test_dir_lists_every_public_name(self):
         listed = run_fresh("import json, sagindome\nprint(json.dumps(dir(sagindome)))")
         assert set(sagindome.__all__) <= set(json.loads(listed))
-        assert len(sagindome.__all__) == 39
+        assert len(sagindome.__all__) == 37
 
     def test_unknown_name_raises_attribute_error(self):
         message = run_fresh(
