@@ -21,6 +21,11 @@ inf and nan) is written by ``"%.17g"`` itself, the call ``format_real``
 makes; a block with no value in range skips the array path altogether.
 Only integer arithmetic and exact comparisons are used, so the text of given
 doubles does not depend on the CPU.
+
+A block's text is laid out in a workspace of byte slots (see below) only as
+wide as the block's largest decade needs, and every other array is reused
+in place or dropped before the workspace is copied out.  A block of
+2 048 x 3 cap coordinates peaks at about 0.4 MB under ``tracemalloc``.
 """
 
 import numpy as np
@@ -34,15 +39,17 @@ _POWERS_OF_FIVE = np.array([5 ** (_DIGITS - 1 - k) for k in range(15)], dtype=np
 _ONE = np.uint64(1)
 _LOW_WORD = np.uint64(2 ** 32 - 1)
 
-# A value's text is laid out in _WIDTH byte slots: the sign, then each digit
-# followed by the slot of a point, and the separator last.  Empty slots stay
-# NUL and are dropped at the end.  The longest ``format_real`` text, such as
-# "-4.9406564584124654e-324", fills 24 of the first _WIDTH - 1 slots.
-_WIDTH = 2 * _DIGITS + 1
-_DIGIT_SLOTS = slice(1, 2 * _DIGITS, 2)
-# "%.17g" % x is format_real(x), the same C call; the width left-justifies
-# it in the slots, and its padding spaces become NUL.
-_PADDED = f"%-{_WIDTH - 1}.17g"
+# A value's text is laid out in byte slots, one row of slots per byte: the
+# sign, then the digits, and the separator last.  Each digit up to the
+# block's largest decade ``top`` is followed by the slot of a point (a value
+# of decade E puts its point after digit E); the digits after it follow one
+# another.  So a block is top + 20 slots wide.  Empty slots stay NUL and are
+# dropped at the end.  "%.17g" % x is format_real(x), the same C call: a value
+# outside [1, 1e15) gets its text from it, left-justified in the slots before
+# the separator, where its padding spaces become NUL.  That text, such as
+# "-4.9406564584124654e-324", can be _LONGEST bytes long, so a block that
+# holds such a value is at least _LONGEST + 1 slots wide.
+_LONGEST = 24
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 _POSITIONS = np.arange(_DIGITS, dtype=np.uint8)[:, None]
 
@@ -55,7 +62,7 @@ _POSITIONS = np.arange(_DIGITS, dtype=np.uint8)[:, None]
 # heap for the rest, so the pages of every block are faulted in anew: a
 # 2e5-point sample took ~23k minor faults, against ~300 after a lift.  A
 # chunk is one block of 2 048 points (``pointprocess._BLOCK_ROWS``, 2 049 in
-# some last blocks) and takes about 1.2 MB in ``rows_text``, none of its
+# some last blocks) and takes about 0.4 MB in ``rows_text``, none of its
 # arrays above 0.25 MB, so a lift to 2 MiB (trim at 4 MiB) keeps every chunk
 # in the heap.
 _HEAP_LIFT_BYTES = 2 ** 21
@@ -71,25 +78,45 @@ def lift_heap_thresholds() -> None:
 
 def _significand(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 17 significant digits of each value in [1, 1e15), as an integer
-    in [10**16, 10**17), and its decade."""
+    in [10**16, 10**17), and its decade.  The steps work in place, and the
+    digits are returned in ``magnitude``'s buffer."""
     bits = magnitude.view(np.uint64)
-    binary = (bits >> 52).astype(np.intp) - 1023
-    mantissa = (bits & np.uint64(2 ** 52 - 1)) | np.uint64(2 ** 52)
+    binary = (bits >> 52).view(np.int64)
+    binary -= 1023
     decade = _DECADE_OF_BINADE[binary]
     decade += magnitude >= _POWERS_OF_TEN[decade + 1]
     factor = _POWERS_OF_FIVE[decade]
-    # mantissa * factor = high * 2**64 + low, from four 32-bit partial products.
-    m_high, m_low = mantissa >> 32, mantissa & _LOW_WORD
-    f_high, f_low = factor >> 32, factor & _LOW_WORD
-    partial = m_low * f_low
-    middle = m_high * f_low + m_low * f_high
-    low = partial + (middle << 32)
-    high = m_high * f_high + (middle >> 32) + (low < partial)
-    shift = (36 + decade - binary).astype(np.uint64)     # -(e + 16 - E), e = binary - 52
-    digits = (high << (64 - shift)) | (low >> shift)
-    dropped = low & ((_ONE << shift) - _ONE)
-    half = _ONE << (shift - _ONE)
-    digits += (dropped > half) | ((dropped == half) & (digits & _ONE).astype(bool))
+    # mantissa * factor = high * 2**64 + low, from four 32-bit partial
+    # products; the low halves, then low and middle, reuse the buffers of
+    # the mantissa and the factor.
+    bits &= np.uint64(2 ** 52 - 1)
+    bits |= np.uint64(2 ** 52)
+    high, f_high = bits >> 32, factor >> 32
+    low = np.bitwise_and(bits, _LOW_WORD, out=bits)
+    middle = np.bitwise_and(factor, _LOW_WORD, out=factor)
+    partial = low * middle
+    middle *= high
+    middle += np.multiply(low, f_high, out=low)
+    high *= f_high
+    np.left_shift(middle, 32, out=low)
+    low += partial
+    high += low < partial
+    high += np.right_shift(middle, 32, out=middle)
+    # -(e + 16 - E), e = binary - 52: 1 to 36 bits of low are shifted out.
+    shift = np.subtract(decade + 36, binary, out=binary).view(np.uint64)
+    dropped = np.left_shift(_ONE, shift, out=f_high)
+    dropped -= _ONE
+    dropped &= low
+    high <<= 64 - shift
+    digits = np.right_shift(low, shift, out=low)
+    digits |= high
+    half = np.left_shift(_ONE, shift - _ONE, out=shift)
+    # Round half to even: up when more than half is dropped, or half of an
+    # odd value.
+    up = np.bitwise_and(digits, _ONE, out=high)
+    up *= dropped == half
+    up += dropped > half
+    digits += up
     # A rounding up to 10**17 moves the value up one decade.
     carry = digits == 10 ** _DIGITS
     digits[carry] = 10 ** (_DIGITS - 1)
@@ -111,36 +138,52 @@ def rows_text(values: np.ndarray) -> str:
         row = ",".join(["%.17g"] * columns) + "\n"
         return (row * rows) % tuple(flat.tolist())
     # Other values get a placeholder here and their own text below.
-    significand, decade = _significand(np.where(exact, magnitude, _LOW))
+    others = np.flatnonzero(~exact)
+    magnitude[others] = _LOW
+    significand, decade = _significand(magnitude)
+    # Each array is dropped once used, so that the workspace is copied out
+    # with no other array of the block held.
+    del magnitude
 
     # The digits, last first, of the significand's leading 9 and trailing 8
     # digits: each half fits 32 bits, where numpy divides fastest.
     digits = np.empty((_DIGITS, flat.size), np.uint8)
-    halves = np.divmod(significand, 10 ** 8)
-    for half, positions in zip(halves, (range(8, -1, -1), range(16, 8, -1))):
+    leading = significand // 10 ** 8
+    significand -= leading * 10 ** 8
+    for half, positions in ((leading, range(8, -1, -1)), (significand, range(16, 8, -1))):
         half = half.astype(np.uint32)
         for position in positions:
             rest = half // 10
-            digits[position] = half - rest * 10
+            half -= rest * 10
+            digits[position] = half
             half = rest
+    del leading, significand, half, rest
     last = ((digits != 0) * _POSITIONS).max(axis=0)
-
-    # One row of slots per byte of a value's text, one column per value.
-    text = np.zeros((_WIDTH, flat.size), np.uint8)
-    text[0] = (flat < 0) * ord("-")
-    digit_slots = text[_DIGIT_SLOTS]
-    np.add(digits, ord("0"), out=digit_slots)
     # Zeros after the point and after the last other digit are not written.
-    digit_slots *= _POSITIONS <= np.maximum(decade, last)
-    pointed = np.flatnonzero(last > decade)
-    text[2 + 2 * decade[pointed], pointed] = ord(".")
-    separators = text[-1].reshape(rows, columns)
-    separators[:, :-1] = ord(",")
-    separators[:, -1] = ord("\n")
+    digits += ord("0")
+    digits *= _POSITIONS <= np.maximum(decade, last)
 
-    others = np.flatnonzero(~exact)
+    top = int(decade.max())
+    width = top + 20
     if others.size:
-        spelled = (_PADDED * others.size) % tuple(flat[others].tolist())
+        width = max(width, _LONGEST + 1)
+    # One row of slots per byte of a value's text, one column per value.
+    text = np.zeros((width, flat.size), np.uint8)
+    np.multiply(flat < 0, np.uint8(ord("-")), out=text[0])
+    text[1:2 * top + 2:2] = digits[:top + 1]
+    text[2 * top + 3:top + 19] = digits[top + 1:]
+    del digits
+    # A value with a digit after its point marks the point slot of its decade.
+    point = np.where(last > decade, decade, np.uint8(_DIGITS))
+    np.multiply(point == _POSITIONS[:top + 1], np.uint8(ord(".")), out=text[2:2 * top + 3:2])
+    text[-1] = ord(",")
+    text[-1, columns - 1::columns] = ord("\n")
+
+    if others.size:
+        spelled = (f"%-{width - 1}.17g" * others.size) % tuple(flat[others].tolist())
         spelled = spelled.encode("ascii").translate(_SPACE_TO_NUL)
-        text[:-1, others] = np.frombuffer(spelled, np.uint8).reshape(-1, _WIDTH - 1).T
-    return text.T.tobytes().translate(None, b"\0").decode("ascii")
+        text[:-1, others] = np.frombuffer(spelled, np.uint8).reshape(-1, width - 1).T
+        del spelled
+    text = text.T.tobytes()
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")

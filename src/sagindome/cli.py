@@ -9,6 +9,7 @@ other command and ``--help`` start without it.
 
 import argparse
 import contextlib
+import gc
 import math
 import os
 import re
@@ -302,7 +303,13 @@ def main_entry() -> None:
     # gain from OpenBLAS's worker threads, whose start-up and spinning cost
     # CPU.  A value the user set wins; in-process ``main`` calls keep theirs.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    raise SystemExit(main())
+    code = main()
+    # The process ends here, so its objects need no collecting: frozen, they
+    # are skipped by the interpreter's last full collection, which would walk
+    # every one (numpy's as well, once a sample has loaded it).  Exit handlers
+    # still run.
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ MAX_SAMPLE_POINTS = 10_000_000
 # block before it; then the block boundaries are not part of the bytes.  So
 # this must be at least 2.  The CLI writes each block as one chunk of CSV
 # text, so this also sets the memory a streamed sample holds for its text:
-# about 1.2 MB a chunk (``_csvtext``).
+# about 0.4 MB a chunk (``_csvtext``).
 _BLOCK_ROWS = 2048
 
 
@@ -158,12 +158,20 @@ def _polar_angles(vertex_angle_rad: float, mode: SampleMode,
 
 
 def yaw_pitch_matrix(rx_azimuth_rad: float, rx_polar_rad: float) -> np.ndarray:
-    """Rotation R_z(azimuth) @ R_y(polar) moving the +z pole onto the receiver direction."""
+    """Rotation R_z(azimuth) @ R_y(polar) moving the +z pole onto the receiver
+    direction.  Each entry is the whole sum over a row of R_z and a column of
+    R_y, zero terms included, so its zeros carry the signs that numpy's
+    product of the two matrices gives them."""
     ca, sa = math.cos(rx_azimuth_rad), math.sin(rx_azimuth_rad)
     cp, sp = math.cos(rx_polar_rad), math.sin(rx_polar_rad)
-    yaw = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    pitch = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    return yaw @ pitch
+    return np.array([
+        [ca * cp + -sa * 0.0 + 0.0 * -sp, ca * 0.0 + -sa * 1.0 + 0.0 * 0.0,
+         ca * sp + -sa * 0.0 + 0.0 * cp],
+        [sa * cp + ca * 0.0 + 0.0 * -sp, sa * 0.0 + ca * 1.0 + 0.0 * 0.0,
+         sa * sp + ca * 0.0 + 0.0 * cp],
+        [0.0 * cp + 0.0 * 0.0 + 1.0 * -sp, 0.0 * 0.0 + 0.0 * 1.0 + 1.0 * 0.0,
+         0.0 * sp + 0.0 * 0.0 + 1.0 * cp],
+    ])
 
 
 def point_blocks(dome: DomeGeometry,

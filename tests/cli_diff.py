@@ -10,8 +10,9 @@ Each tree is a ``src`` directory that holds the ``sagindome`` package.  The
 invocations are drawn once, from the hostile values of
 ``test_cli_properties.py``, grids across interval ends and 1 024-row sweep
 blocks, samples in both modes on the s2g reference dome and on small a2g and
-g2s domes with counts on and next to the 2 048-row sample blocks, and
-``--output`` files.  They are replayed in-process, in one
+g2s domes with counts on and next to the 2 048-row sample blocks, half of
+them on domes scaled to Earth radii from 1 m to 1e12 km, and ``--output``
+files.  They are replayed in-process, in one
 child process per tree, each invocation in a directory of its own with
 relative paths, so no absolute path enters the comparison.  For each
 one the exit code, standard output, standard error and every file written
@@ -53,6 +54,11 @@ _SAMPLE_COUNTS = (0, 1, 2047, 2048, 2049, 4095, 4096, 4097, 6145, 8192, 8193)
 # Sample domes: the s2g reference dome and two small ones, on which those
 # counts take densities of about 1 to 5 per km^2.
 _SAMPLE_SCENARIOS = ("s2g", "a2g", "g2s")
+# Earth radii, in km, that half the sample domes are drawn at, their
+# altitudes scaled by the same factor so each dome keeps its angles: its
+# points then have every coordinate below 1 km, or up to 13 integer digits,
+# which the CSV kernel lays out in its narrowest and widest slots.
+_EARTH_RADII = (1e-3, 0.5, 6371.0, 1e6, 1e12)
 # Grid bounds in CLI units that cross the ends of each parameter's interval.
 _SWEEP_RANGES = {
     "carrier_frequency": [(2e9, 40e9), (1e8, 5e10), (-1e8, 2.4e9)],
@@ -153,18 +159,34 @@ def _seed_for_count(rng: random.Random, density: float, area: float, count: int)
     return seed
 
 
-def _sample(rng: random.Random, areas: dict[str, float]) -> dict:
-    from test_cli_properties import HOSTILE_VALUES, KEYS, VALID
+def _sample_dome(scenario: str, earth_radius_km: float | None) -> dict:
+    """The descriptor values of a sample dome: ``VALID``'s, or those scaled
+    to an Earth of ``earth_radius_km``."""
+    from sagindome import DEFAULT_EARTH_RADIUS_KM
+    from test_cli_properties import VALID
+
+    if earth_radius_km is None:
+        return dict(VALID[scenario])
+    scale = earth_radius_km / DEFAULT_EARTH_RADIUS_KM
+    return {**{key: value * scale if key.endswith("_altitude_km") else value
+               for key, value in VALID[scenario].items()},
+            "earth_radius_km": earth_radius_km}
+
+
+def _sample(rng: random.Random, areas: dict[tuple[str, float | None], float]) -> dict:
+    from test_cli_properties import HOSTILE_VALUES, KEYS
 
     output = rng.choice(["points.csv"] * 5 + ["missing/points.csv"])
     if rng.random() < 0.3:
         data = _descriptor(rng, HOSTILE_VALUES, KEYS)
     else:
         scenario = rng.choice(_SAMPLE_SCENARIOS)
-        area = areas[scenario]
+        earth_radius_km = rng.choice(_EARTH_RADII) if rng.random() < 0.5 else None
+        area = areas[scenario, earth_radius_km]
         count = rng.choice(_SAMPLE_COUNTS)
         density = (count + 0.5) / area
-        data = {"scenario": scenario, **VALID[scenario], "density_per_km2": density,
+        data = {"scenario": scenario, **_sample_dome(scenario, earth_radius_km),
+                "density_per_km2": density,
                 "seed": _seed_for_count(rng, density, area, count),
                 "mode": rng.choice(["area_uniform", "paper_faithful"])}
         if rng.random() < 0.7:
@@ -177,11 +199,11 @@ def draw_invocations(count: int, seed: int) -> list[dict]:
     """``count`` invocations, each an argv and the input files it reads.
     The package importable here finds the seeds of the sample counts."""
     from sagindome import coverage, parse_descriptor
-    from test_cli_properties import VALID
 
     rng = random.Random(seed)
-    areas = {scenario: coverage(parse_descriptor({"scenario": scenario, **VALID[scenario]})
-                                .spec).area_km2 for scenario in _SAMPLE_SCENARIOS}
+    areas = {(scenario, radius): coverage(parse_descriptor(
+        {"scenario": scenario, **_sample_dome(scenario, radius)}).spec).area_km2
+        for scenario in _SAMPLE_SCENARIOS for radius in (None, *_EARTH_RADII)}
     draw = {"coverage": _coverage, "count": _count, "sweep": _sweep,
             "sample": lambda rng: _sample(rng, areas)}
     return [draw[_CYCLE[index % len(_CYCLE)]](rng) for index in range(count)]

@@ -439,6 +439,43 @@ class TestRowsText:
         values = (odd / scale).reshape(-1, 3)
         assert rows_text(values) == per_value_rows(values)
 
+    @pytest.mark.parametrize("longest", [False, True], ids=["in-range", "longest"])
+    @pytest.mark.parametrize("top", range(15))
+    def test_every_block_width(self, top, longest):
+        # A block whose largest decade is ``top``, so top + 20 slots wide,
+        # with values of every decade up to it, integers and short fractions
+        # among them; and the same block with one value of the longest
+        # "%.17g" text, which widens the block to at least 25 slots.
+        rng = np.random.default_rng(top)
+        values = 10.0 ** rng.uniform(0.0, top + 1.0, (60, 3))
+        values[::3] = np.floor(values[::3])
+        values[1::3] = np.round(values[1::3], 2)
+        values *= rng.choice([-1.0, 1.0], values.shape)
+        values[0, 0] = 9.75 * 10.0 ** top
+        if longest:
+            values[-1, -1] = -5e-324
+        text = rows_text(values)
+        assert text == per_value_rows(values)
+        assert ("-4.9406564584124654e-324\n" in text) == longest
+
+    def test_block_peak_memory(self):
+        # One 2 048-row block of rotated cap coordinates, as a sample writes
+        # it: about 0.4 MB under tracemalloc, 1.0 MB when every value took
+        # 35 slots and the intermediate arrays lived to the end.
+        dome = coverage(reference_spec(Scenario.S2G))
+        config = SampleConfig(density_per_km2=3 * pointprocess._BLOCK_ROWS / dome.area_km2,
+                              rx_azimuth_rad=2.4, rx_polar_rad=1.1, seed=30)
+        block = next(pointprocess.point_blocks(dome, config)[1])
+        assert block.shape == (pointprocess._BLOCK_ROWS, 3)
+        rows_text(block)
+        tracemalloc.start()
+        try:
+            rows_text(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 700_000
+
     def test_block_with_no_value_in_range(self, monkeypatch):
         # Coordinates of a sample on a sphere under 1 km, with every special
         # value outside [1, 1e15): written by "%.17g" alone, the array path

@@ -229,6 +229,22 @@ class TestYawPitchMatrix:
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
+    def test_bits_equal_the_product_of_the_two_rotations(self):
+        # Each edge angle paired with each, and random pairs: the nine sums
+        # give numpy's yaw @ pitch bit for bit, the signs of zeros included.
+        edges = [0.0, -0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi, -math.pi, 2.0 * math.pi,
+                 1.5 * math.pi, 0.25 * math.pi, 5e-324, -5e-324, 1e-300]
+        rng = np.random.default_rng(2028)
+        pairs = [(azimuth, polar) for azimuth in edges for polar in edges]
+        pairs += zip(rng.uniform(-10.0, 10.0, 5000).tolist(), rng.uniform(-10.0, 10.0, 5000).tolist())
+        for azimuth, polar in pairs:
+            ca, sa = math.cos(azimuth), math.sin(azimuth)
+            cp, sp = math.cos(polar), math.sin(polar)
+            yaw = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+            pitch = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+            assert (yaw_pitch_matrix(azimuth, polar).tobytes()
+                    == (yaw @ pitch).tobytes()), (azimuth, polar)
+
     def test_moves_pole_to_receiver_direction(self):
         azimuth, polar = 1.2, 0.8
         moved = yaw_pitch_matrix(azimuth, polar) @ np.array([0.0, 0.0, 1.0])
