@@ -25,7 +25,7 @@ doubles does not depend on the CPU.
 A block's text is laid out in a workspace of byte slots (see below) only as
 wide as the block's largest decade needs, and every other array is reused
 in place or dropped before the workspace is copied out.  A block of
-2 048 x 3 cap coordinates peaks at about 0.4 MB under ``tracemalloc``.
+1 024 x 3 cap coordinates peaks at about 0.2 MB under ``tracemalloc``.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 _DIGITS = 17
 _LOW, _HIGH = 1.0, 1e15
 # floor(k * log10(2)) for each binary exponent k of [1, 1e15).
-_DECADE_OF_BINADE = np.array([len(str(2 ** k)) - 1 for k in range(50)])
+_DECADE_OF_BINADE = np.array([len(str(2 ** k)) - 1 for k in range(50)], np.uint8)
 _POWERS_OF_TEN = np.array([float(10 ** k) for k in range(16)])
 _POWERS_OF_FIVE = np.array([5 ** (_DIGITS - 1 - k) for k in range(15)], dtype=np.uint64)
 _ONE = np.uint64(1)
@@ -52,28 +52,6 @@ _LOW_WORD = np.uint64(2 ** 32 - 1)
 _LONGEST = 24
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 _POSITIONS = np.arange(_DIGITS, dtype=np.uint8)[:, None]
-
-
-# glibc's malloc maps a request of at least its mmap threshold (128 KiB at
-# start) on its own, and gives the free top of its heap back to the system
-# once it passes the trim threshold (256 KiB at start).  Freeing a mapped
-# chunk lifts the two thresholds to its size and twice that.  Without a lift
-# each block of a stream maps its largest arrays, then grows and trims the
-# heap for the rest, so the pages of every block are faulted in anew: a
-# 2e5-point sample took ~23k minor faults, against ~300 after a lift.  A
-# chunk is one block of 2 048 points (``pointprocess._BLOCK_ROWS``, 2 049 in
-# some last blocks) and takes about 0.4 MB in ``rows_text``, none of its
-# arrays above 0.25 MB, so a lift to 2 MiB (trim at 4 MiB) keeps every chunk
-# in the heap.
-_HEAP_LIFT_BYTES = 2 ** 21
-
-
-def lift_heap_thresholds() -> None:
-    """Lift the C allocator's thresholds above a block's arrays, so a stream
-    of blocks reuses its heap instead of mapping and faulting it anew.  The
-    buffer is freed untouched, so it costs no resident memory; an allocator
-    without glibc's dynamic thresholds ignores it."""
-    np.empty(_HEAP_LIFT_BYTES, np.uint8)
 
 
 def _significand(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +99,7 @@ def _significand(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     carry = digits == 10 ** _DIGITS
     digits[carry] = 10 ** (_DIGITS - 1)
     decade += carry
-    return digits, decade.astype(np.uint8)
+    return digits, decade
 
 
 def rows_text(values: np.ndarray) -> str:
@@ -145,19 +123,22 @@ def rows_text(values: np.ndarray) -> str:
     # with no other array of the block held.
     del magnitude
 
-    # The digits, last first, of the significand's leading 9 and trailing 8
-    # digits: each half fits 32 bits, where numpy divides fastest.
-    digits = np.empty((_DIGITS, flat.size), np.uint8)
-    leading = significand // 10 ** 8
-    significand -= leading * 10 ** 8
-    for half, positions in ((leading, range(8, -1, -1)), (significand, range(16, 8, -1))):
-        half = half.astype(np.uint32)
-        for position in positions:
-            rest = half // 10
-            half -= rest * 10
-            digits[position] = half
-            half = rest
-    del leading, significand, half, rest
+    # The digits, last first, of the significand's leading 8 and trailing 9
+    # digits, in one loop over both halves: each fits 32 bits, where numpy
+    # divides fastest.  Row 0 takes the leading half's ninth digit, a 0, and
+    # is dropped.
+    leading = significand // 10 ** 9
+    significand -= leading * 10 ** 9
+    halves = np.array([leading, significand], np.uint32)
+    del leading, significand
+    digits = np.empty((2, 9, flat.size), np.uint8)
+    for position in range(8, -1, -1):
+        rest = halves // 10
+        halves -= rest * 10
+        digits[:, position] = halves
+        halves = rest
+    del halves, rest
+    digits = digits.reshape(2 * 9, -1)[1:]
     last = ((digits != 0) * _POSITIONS).max(axis=0)
     # Zeros after the point and after the last other digit are not written.
     digits += ord("0")

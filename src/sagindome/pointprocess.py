@@ -61,9 +61,14 @@ MAX_SAMPLE_POINTS = 10_000_000
 # bit from the row of a longer product, so the last row of a draw joins the
 # block before it; then the block boundaries are not part of the bytes.  So
 # this must be at least 2.  The CLI writes each block as one chunk of CSV
-# text, so this also sets the memory a streamed sample holds for its text:
-# about 0.4 MB a chunk (``_csvtext``).
-_BLOCK_ROWS = 2048
+# text.  A chunk's largest array, the ``_csvtext`` workspace, takes up to
+# (_BLOCK_ROWS + 1) x 3 values x 34 byte slots: 104 550 B here, under the
+# 128 KiB from which glibc's and musl's malloc map a request on its own,
+# so no block's pages are mapped and faulted in anew.  Keep it so when
+# raising this.  The workspace and its bytes copy, twice that, come close
+# to glibc's 256 KiB trim threshold; test_package.py counts the faults of
+# a sample with both thresholds fixed.
+_BLOCK_ROWS = 1024
 
 
 class Topology(_Record):

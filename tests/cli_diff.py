@@ -10,7 +10,7 @@ Each tree is a ``src`` directory that holds the ``sagindome`` package.  The
 invocations are drawn once, from the hostile values of
 ``test_cli_properties.py``, grids across interval ends and 1 024-row sweep
 blocks, samples in both modes on the s2g reference dome and on small a2g and
-g2s domes with counts on and next to the 2 048-row sample blocks, half of
+g2s domes with counts on and next to the 1 024-row sample blocks, half of
 them on domes scaled to Earth radii from 1 m to 1e12 km, and ``--output``
 files.  They are replayed in-process, in one
 child process per tree, each invocation in a directory of its own with
@@ -47,10 +47,13 @@ FIELDS = ("exit", "stdout", "stderr", "files")
 _CYCLE = ("coverage", "sweep", "sample", "count", "sweep", "sample")
 # Sweep grids on and next to multiples of the 1 024-row block, and small ones.
 _SWEEP_STEPS = (2, 3, 17, 1023, 1024, 1025, 2047, 2048, 2049, 3073)
-# Sample counts on and next to multiples of the 2 048-row block, among them
-# counts 1 more than a multiple of 4 096, whose last row a tree that rotates
-# a one-row tail of 4 096-row blocks computes by another BLAS routine.
-_SAMPLE_COUNTS = (0, 1, 2047, 2048, 2049, 4095, 4096, 4097, 6145, 8192, 8193)
+# Sample counts on and next to multiples of the 1 024-row block: up to
+# 1 025 points are drawn from one generator, and from 1 026 on from two.
+# Among them are counts 1 more than a multiple of 4 096, whose last row a
+# tree that rotates a one-row tail of 4 096-row blocks computes by another
+# BLAS routine.
+_SAMPLE_COUNTS = (0, 1, 1023, 1024, 1025, 1026, 2047, 2048, 2049, 4095, 4096, 4097, 6145,
+                  8192, 8193)
 # Sample domes: the s2g reference dome and two small ones, on which those
 # counts take densities of about 1 to 5 per km^2.
 _SAMPLE_SCENARIOS = ("s2g", "a2g", "g2s")

@@ -619,8 +619,9 @@ class TestSampleCommand:
         # chunks of another size give the same text.
         *((7, 3, count) for count in (0, 1, 6, 7, 8, 13, 14, 15, 7 * 9 + 3)),
         *((7, 2048, count) for count in (7, 8, 7 * 9 + 3)),
-        # A second large block size shows that the bytes do not follow it.
-        *((rows, 2048, count) for rows in (pointprocess._BLOCK_ROWS, 4096)
+        # The block size and two larger ones show that the bytes do not
+        # follow it.
+        *((rows, 2048, count) for rows in (pointprocess._BLOCK_ROWS, 2048, 4096)
           for count in (rows - 1, rows, rows + 1, 2 * rows + 1)),
     ])
     def test_streamed_blocks_match_the_one_shot_draw(self, mode, block_rows, chunk_rows,
@@ -654,10 +655,8 @@ class TestSampleCommand:
 
     def test_streamed_sample_holds_one_block(self, tmp_path, capsys):
         # ~2e5 points: the whole draw's coordinates alone would take 4.8 MB,
-        # and the draw held whole peaked at about 8.3 MB.  One block of 2 048
-        # points and its text, written as one chunk, take about 1.2 MB, so
-        # the peak, about 2.3 MB, is the 2 MiB buffer that lifts the
-        # allocator's thresholds, freed untouched.
+        # and the draw held whole peaked at about 8.3 MB.  One block of 1 024
+        # points and its text, written as one chunk, peak at about 0.35 MB.
         descriptor = tmp_path / "bulk.json"
         descriptor.write_text(S2G_DESCRIPTOR.replace("5e-6", "0.0172"))
         target = tmp_path / "points.csv"
@@ -670,7 +669,7 @@ class TestSampleCommand:
         count = json.loads(capsys.readouterr().out)["count"]
         assert code == 0 and count > 190_000
         assert target.stat().st_size > 10_000_000
-        assert peak < 3_000_000
+        assert peak < 1_000_000
 
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         descriptor = tmp_path / "noseed.json"

@@ -327,8 +327,8 @@ def special_points(n: int) -> np.ndarray:
     return values.reshape(n, 3)
 
 
-# Row counts on and next to block boundaries: the blocks of a sample (2 048
-# rows) and of a sweep (1 024 rows) both divide 16 384.
+# Row counts on and next to block boundaries: the blocks of a sample and of
+# a sweep (1 024 rows each) divide 16 384.
 BOUNDARY_ROWS = 16384
 ROW_COUNTS = [0, 1, BOUNDARY_ROWS - 1, BOUNDARY_ROWS, BOUNDARY_ROWS + 1, 3 * BOUNDARY_ROWS + 7]
 
@@ -459,9 +459,8 @@ class TestRowsText:
         assert ("-4.9406564584124654e-324\n" in text) == longest
 
     def test_block_peak_memory(self):
-        # One 2 048-row block of rotated cap coordinates, as a sample writes
-        # it: about 0.4 MB under tracemalloc, 1.0 MB when every value took
-        # 35 slots and the intermediate arrays lived to the end.
+        # One 1 024-row block of rotated cap coordinates, as a sample writes
+        # it: about 0.2 MB under tracemalloc.
         dome = coverage(reference_spec(Scenario.S2G))
         config = SampleConfig(density_per_km2=3 * pointprocess._BLOCK_ROWS / dome.area_km2,
                               rx_azimuth_rad=2.4, rx_polar_rad=1.1, seed=30)
@@ -474,7 +473,7 @@ class TestRowsText:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 700_000
+        assert peak < 350_000
 
     def test_block_with_no_value_in_range(self, monkeypatch):
         # Coordinates of a sample on a sphere under 1 km, with every special

@@ -5,15 +5,17 @@ Only ``pointprocess`` imports numpy, so only the ``sample`` command loads it.
 ``--help`` and every descriptor error run without numpy, and, since the
 records are plain frozen classes, without ``dataclasses`` and ``inspect``;
 ``sweep`` loads no ``pointprocess`` and ``sample`` no ``sweeps``.  The
-package resolves the names of those two modules on first access.  Each
-check runs in a fresh interpreter, since this one has imported everything
-already.
+package resolves the names of those two modules on first access.  A
+``sample`` process faults in about as many pages with glibc's malloc
+thresholds fixed as with them free to rise.  Each check runs in a fresh
+interpreter, since this one has imported everything already.
 """
 
 import copy
 import json
 import os
 import pickle
+import platform
 import subprocess
 import sys
 from array import array
@@ -24,6 +26,7 @@ import pytest
 
 import sagindome
 from sagindome import (
+    DEFAULT_EARTH_RADIUS_KM,
     AntennaConfig,
     Descriptor,
     DomeGeometry,
@@ -152,6 +155,45 @@ class TestStartup:
             assert value == user_value
         else:
             assert (threads, value) == ("1", "1")
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="fixes malloc's thresholds through glibc's GLIBC_TUNABLES")
+    def test_sample_faults_with_fixed_malloc_thresholds(self, tmp_path):
+        # glibc maps a request of 128 KiB or more on its own, and gives back
+        # a free heap top of 256 KiB or more; freeing a mapped chunk raises
+        # both thresholds.  With them fixed at those values, a stream whose
+        # blocks reach either size maps or trims, and faults in anew, its
+        # pages for each block.  The ~2e5-point dome is scaled to an Earth
+        # radius of 5e14 km, so that its first row, like every block, has
+        # coordinates in [1e14, 1e15), the CSV kernel's widest slots.
+        scale = 5e14 / DEFAULT_EARTH_RADIUS_KM
+        descriptor = tmp_path / "wide.json"
+        descriptor.write_text(json.dumps(dict(
+            S2G_DESCRIPTOR, space_altitude_km=600 * scale, earth_radius_km=5e14,
+            density_per_km2=0.0172 / scale ** 2)))
+        env = {key: value for key, value in os.environ.items()
+               if key != "GLIBC_TUNABLES" and not key.startswith("MALLOC_")}
+        env["PYTHONPATH"] = str(Path(sagindome.__file__).resolve().parents[1])
+        fixed = "glibc.malloc.mmap_threshold=131072:glibc.malloc.trim_threshold=262144"
+        faults, texts = [], []
+        for tunables in (None, fixed):
+            run = tmp_path / str(len(texts))
+            run.mkdir()
+            with open(run / "out", "w") as out, open(run / "err", "w") as err:
+                child = subprocess.Popen(
+                    [sys.executable, "-m", "sagindome", "sample", "--descriptor",
+                     str(descriptor), "--output", str(run / "points.csv")],
+                    env=dict(env, GLIBC_TUNABLES=tunables) if tunables else env,
+                    stdout=out, stderr=err)
+                _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            assert child.returncode == 0, (run / "err").read_text()
+            assert json.loads((run / "out").read_text())["count"] > 190_000
+            faults.append(usage.ru_minflt)
+            texts.append((run / "points.csv").read_bytes())
+        assert texts[0] == texts[1]
+        assert max(float(value) for value in texts[0].split()[1].split(b",")) > 1e14
+        assert faults[1] <= 1.25 * faults[0], faults
 
 
 class TestPackageSurface:

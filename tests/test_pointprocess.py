@@ -425,10 +425,11 @@ class TestBlockedBuild:
     @MODES
     @pytest.mark.parametrize("block_rows, count", [
         # Blocks of 2 and 7 rows put many block boundaries in a small draw;
-        # a second large block size shows that the bytes do not follow it.
+        # the block size and two larger ones show that the bytes do not
+        # follow it.
         *((2, count) for count in (0, 1, 2, 3, 4, 5, 2 * 9 + 1)),
         *((7, count) for count in (0, 1, 6, 7, 8, 13, 14, 15, 16, 7 * 9 + 3)),
-        *((rows, count) for rows in (_BLOCK_ROWS, 4096)
+        *((rows, count) for rows in (_BLOCK_ROWS, 2048, 4096)
           for count in (rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1, 3 * rows + 5)),
     ])
     def test_counts_on_and_next_to_block_boundaries(self, s2g_spec, monkeypatch, mode,
