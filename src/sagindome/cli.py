@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 2 for any input problem (flags, descriptor,
 geometry), 3 when an output file or standard output cannot be written.
 
-Only the ``sample`` handler imports numpy (through ``pointprocess``), so every
-other command and ``--help`` start without it.
+Only the ``sample`` handler imports numpy (through ``pointprocess``), and
+only for a draw of more than one block, so every other command, ``--help``
+and a small sample start without it.
 """
 
 import argparse
@@ -27,6 +28,7 @@ from .io import (
     format_real,
     load_descriptor,
     parse_descriptor,
+    point_values_csv_chunks,
     points_blocks_csv_chunks,
     sweep_blocks_csv_chunks,
     write_text_file,
@@ -239,15 +241,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    from .pointprocess import DEFAULT_RNG_ALGORITHM, point_blocks
+    from ._draw import DEFAULT_RNG_ALGORITHM, small_draw
 
     descriptor = _descriptor_from_args(args)
     dome = coverage(descriptor.spec)
     config = descriptor.sample_config()
-    # The count is drawn and checked here, before --output is opened; each
-    # block of points is then drawn, written and dropped in turn.
-    count, blocks = point_blocks(dome, config)
-    write_text_file(args.output, points_blocks_csv_chunks(blocks))
+    # The count is drawn and checked here, before --output is opened.  A draw
+    # that fits one block is made without numpy; a larger one is drawn,
+    # written and dropped a block at a time.
+    count, values = small_draw(dome, config)
+    if values is None:
+        from .pointprocess import point_blocks
+
+        count, blocks = point_blocks(dome, config)
+        chunks = points_blocks_csv_chunks(blocks)
+    else:
+        chunks = point_values_csv_chunks(values)
+    write_text_file(args.output, chunks)
     print(dumps({
         "count": count,
         "area_km2": dome.area_km2,
@@ -299,9 +309,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    # Before numpy loads: a sample's per-block products are too small to
-    # gain from OpenBLAS's worker threads, whose start-up and spinning cost
-    # CPU.  A value the user set wins; in-process ``main`` calls keep theirs.
+    # Before numpy loads: a sample makes no BLAS call, and the worker threads
+    # OpenBLAS starts when it loads would cost CPU for nothing.  A value the
+    # user set wins; in-process ``main`` calls keep theirs.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     # The process ends here, so its objects need no collecting: frozen, they

@@ -245,6 +245,14 @@ def points_blocks_csv_chunks(blocks: Iterable["np.ndarray"]) -> Iterator[str]:
         yield rows_text(points)
 
 
+def point_values_csv_chunks(values: list[float]) -> Iterator[str]:
+    """A topology's points, given as x, y, z one point after another, as its
+    CSV text in chunks: the header, then every row in one chunk, in the
+    bytes of ``format_real`` (the same C call as ``"%.17g" %``)."""
+    yield POINTS_CSV_HEADER + "\n"
+    yield ("%.17g,%.17g,%.17g\n" * (len(values) // 3)) % tuple(values)
+
+
 def write_text_file(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks of a text, each as it comes."""
     try:

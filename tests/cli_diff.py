@@ -48,10 +48,10 @@ _CYCLE = ("coverage", "sweep", "sample", "count", "sweep", "sample")
 # Sweep grids on and next to multiples of the 1 024-row block, and small ones.
 _SWEEP_STEPS = (2, 3, 17, 1023, 1024, 1025, 2047, 2048, 2049, 3073)
 # Sample counts on and next to multiples of the 1 024-row block: up to
-# 1 025 points are drawn from one generator, and from 1 026 on from two.
-# Among them are counts 1 more than a multiple of 4 096, whose last row a
-# tree that rotates a one-row tail of 4 096-row blocks computes by another
-# BLAS routine.
+# 1 024 points are drawn without numpy, and from 1 025 on by numpy's blocks,
+# from two generators.  Among them are counts 1 more than a multiple of
+# 4 096, whose last row a tree that rotates a one-row tail of 4 096-row
+# blocks computes by another BLAS routine.
 _SAMPLE_COUNTS = (0, 1, 1023, 1024, 1025, 1026, 2047, 2048, 2049, 4095, 4096, 4097, 6145,
                   8192, 8193)
 # Sample domes: the s2g reference dome and two small ones, on which those

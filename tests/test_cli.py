@@ -26,7 +26,7 @@ from sagindome import (
     run_sweep,
 )
 import sagindome
-from sagindome import pointprocess, sweeps
+from sagindome import _draw, pointprocess, sweeps
 from sagindome.cli import main
 from sagindome.io import (
     POINTS_CSV_HEADER,
@@ -584,12 +584,14 @@ class TestSampleCommand:
         assert target.read_text() == "x_km,y_km,z_km\n"
 
     def test_unwritable_output_exits_3(self, s2g_descriptor, tmp_path, capsys):
+        # The ~57-point draw fits one block, so it is made without numpy.
         target = tmp_path / "no" / "such" / "dir" / "points.csv"
         code, out, err = run_cli(["sample", "--descriptor", s2g_descriptor,
                                   "--output", str(target)], capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("density", ["1e3", "1e308"])
     def test_poisson_mean_above_the_cap_exit_2_before_drawing(self, density, tmp_path,
@@ -600,6 +602,7 @@ class TestSampleCommand:
             def random(self, *args, **kwargs):
                 raise AssertionError("nothing may be drawn")
 
+        monkeypatch.setattr(_draw, "PCG64", lambda *args: Refuse())
         monkeypatch.setattr(pointprocess, "make_rng", lambda *args: Refuse())
         descriptor = tmp_path / "dense.json"
         descriptor.write_text(S2G_DESCRIPTOR.replace("5e-6", density))
@@ -627,10 +630,11 @@ class TestSampleCommand:
     def test_streamed_blocks_match_the_one_shot_draw(self, mode, block_rows, chunk_rows,
                                                      count, tmp_path, capsys, monkeypatch):
         # The count is fixed so that draws end on and next to block
-        # boundaries.  A draw of more than one block takes its polar uniforms
-        # from a copy of the stream advanced past the azimuths; the one-shot
-        # draw takes them from one generator after all the azimuths and
-        # rotates the whole draw by one product.
+        # boundaries, and every draw is made by numpy's blocks, the small ones
+        # too.  A draw of more than one block takes its polar uniforms from a
+        # copy of the stream advanced past the azimuths; the one-shot draw
+        # takes them from one generator after all the azimuths.
+        monkeypatch.setattr(_draw, "_BLOCK_ROWS", -1)
         monkeypatch.setattr(pointprocess, "_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(pointprocess, "poisson_count", lambda *args: count)
         descriptor = tmp_path / "oriented.json"
@@ -652,6 +656,49 @@ class TestSampleCommand:
             POINTS_CSV_HEADER, *(",".join(map(format_real, row)) for row in points.tolist()), ""]
         assert text == "".join(points_blocks_csv_chunks(
             points[start:start + chunk_rows] for start in range(0, count, chunk_rows)))
+
+    @MODES
+    @pytest.mark.parametrize("count", [0, 1, 57, pointprocess._BLOCK_ROWS])
+    def test_small_draw_matches_the_one_shot_draw(self, mode, count, tmp_path, capsys,
+                                                  monkeypatch):
+        # A draw that fits one block is made without numpy's blocks.
+        def refuse(*args):
+            raise AssertionError("the draw went to numpy's blocks")
+
+        monkeypatch.setattr(pointprocess, "point_blocks", refuse)
+        monkeypatch.setattr(_draw, "poisson_count", lambda *args: count)
+        monkeypatch.setattr(pointprocess, "poisson_count", lambda *args: count)
+        descriptor = tmp_path / "oriented.json"
+        descriptor.write_text(json.dumps({
+            "scenario": "s2g", "space_altitude_km": 600, "min_elevation_deg": 10,
+            "density_per_km2": 1e-4, "rx_azimuth_deg": 137, "rx_polar_deg": 63,
+            "seed": 2024, "mode": mode.value}))
+        target = tmp_path / "points.csv"
+        code, out, err = run_cli(["sample", "--descriptor", str(descriptor),
+                                  "--output", str(target)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == count
+        loaded = load_descriptor(str(descriptor))
+        points = one_shot_points(coverage(loaded.spec), loaded.sample_config())
+        assert target.read_text().split("\n") == [
+            POINTS_CSV_HEADER, *(",".join(map(format_real, row)) for row in points.tolist()), ""]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("density", ["5e-6", "1e-4"], ids=["one-block", "blocks"])
+    def test_full_output_device_exit_3(self, density, tmp_path):
+        # A draw of one block, written without numpy, and one of two blocks
+        # end alike when --output cannot take their text.
+        descriptor = tmp_path / "s2g.json"
+        descriptor.write_text(S2G_DESCRIPTOR.replace("5e-6", density))
+        env = dict(os.environ, PYTHONPATH=str(Path(sagindome.__file__).resolve().parents[1]))
+        process = subprocess.run(
+            [sys.executable, "-m", "sagindome", "sample", "--descriptor", str(descriptor),
+             "--output", "/dev/full"], env=env, capture_output=True, timeout=60)
+        reason = os.strerror(errno.ENOSPC)
+        assert (process.returncode, process.stdout) == (3, b"")
+        assert process.stderr.decode().startswith("error: cannot write /dev/full: ")
+        assert process.stderr.decode().endswith(f"{reason}\n")
+        assert process.stderr.count(b"\n") == 1
 
     def test_streamed_sample_holds_one_block(self, tmp_path, capsys):
         # ~2e5 points: the whole draw's coordinates alone would take 4.8 MB,
@@ -885,7 +932,8 @@ class TestClosedStdout:
     ], ids=["coverage", "count", "sample", "sweep"])
     def test_full_device_exit_3(self, argv, s2g_descriptor, tmp_path):
         # Every write to /dev/full fails with ENOSPC, whichever buffer
-        # reaches it: a print's, a CSV chunk's or the flush at the end.
+        # reaches it: a print's, a CSV chunk's or the flush at the end.  The
+        # sample's ~57-point draw fits one block and is made without numpy.
         argv = [arg.format(descriptor=s2g_descriptor, tmp=tmp_path) for arg in argv]
         env = dict(os.environ, PYTHONPATH=str(Path(sagindome.__file__).resolve().parents[1]))
         with open("/dev/full", "w") as full:

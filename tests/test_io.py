@@ -339,8 +339,8 @@ def test_row_counts_sit_on_block_boundaries():
 
 
 def blocks_of(rows, block_rows: int) -> list:
-    """Consecutive slices of ``block_rows`` rows, as a sweep yields them (a
-    sample's last block also takes a one-row tail)."""
+    """Consecutive slices of ``block_rows`` rows, as a sweep and a sample
+    yield them."""
     return [rows[start:start + block_rows] for start in range(0, len(rows), block_rows)]
 
 
@@ -501,22 +501,28 @@ class TestRowsText:
         assert rows_text(values) == per_value_rows(values)
 
 
+def criterion_10_descriptor(mode: str) -> str:
+    """The descriptor of the acceptance criterion 10 sample, in ``mode``."""
+    return json.dumps({
+        "scenario": "s2g", "space_altitude_km": 600, "min_elevation_deg": 10,
+        "density_per_km2": 5e-6, "rx_azimuth_deg": 137, "rx_polar_deg": 63,
+        "seed": 20240615, "mode": mode})
+
+
 class TestCsvFiles:
     # sha256 of the acceptance criterion 10 sample CSV in both modes, as
-    # written before CSV output was chunked.  A change here is a change of
-    # output bytes or of the random-stream order.
+    # written since a point is made from libm's sin and cos and IEEE
+    # arithmetic alone (no arcsin, no BLAS product).  A change here is a
+    # change of output bytes or of the random-stream order.
     CRITERION_10_SHA256 = {
-        "area_uniform": "fb5f053cc31a35f81dec54a09f35eeff2a41fe2904b2e2c8ec8c9f07739e316c",
-        "paper_faithful": "25f79d4e118e20b7a6a999c97ab2c2115ff9ea584ce62d0f2c1d9b769835264f",
+        "area_uniform": "bbfb3e1ab5b176fe9a0dac76172c143ae6296c6b6fab362d8dacce9f9d61a93d",
+        "paper_faithful": "486625bc4edfdc40aaaef0a2814fb18ed4383b48df5bac1e76e8f34e25e63e6c",
     }
 
     @pytest.mark.parametrize("mode", sorted(CRITERION_10_SHA256))
     def test_criterion_10_sample_bytes_pinned(self, mode, tmp_path, capsys):
         descriptor = tmp_path / "scenario.json"
-        descriptor.write_text(json.dumps({
-            "scenario": "s2g", "space_altitude_km": 600, "min_elevation_deg": 10,
-            "density_per_km2": 5e-6, "rx_azimuth_deg": 137, "rx_polar_deg": 63,
-            "seed": 20240615, "mode": mode}))
+        descriptor.write_text(criterion_10_descriptor(mode))
         target = tmp_path / "points.csv"
         assert main(["sample", "--descriptor", str(descriptor), "--output", str(target)]) == 0
         capsys.readouterr()

@@ -1,10 +1,11 @@
 """The package surface and its start-up contract.
 
-Only ``pointprocess`` imports numpy, so only the ``sample`` command loads it.
-``import sagindome``, the ``coverage``, ``count`` and ``sweep`` commands,
-``--help`` and every descriptor error run without numpy, and, since the
-records are plain frozen classes, without ``dataclasses`` and ``inspect``;
-``sweep`` loads no ``pointprocess`` and ``sample`` no ``sweeps``.  The
+Only ``pointprocess`` imports numpy, so only a ``sample`` of more than one
+block loads it.  ``import sagindome``, the ``coverage``, ``count`` and
+``sweep`` commands, a ``sample`` that fits one block, ``--help`` and every
+descriptor error run without numpy, and, since the records are plain frozen
+classes, without ``dataclasses`` and ``inspect``; ``sweep`` loads no
+``pointprocess`` and ``sample`` no ``sweeps``.  The
 package resolves the names of those two modules on first access.  A
 ``sample`` process faults in about as many pages with glibc's malloc
 thresholds fixed as with them free to rise.  Each check runs in a fresh
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 import sagindome
+from sagindome._draw import _BLOCK_ROWS
 from sagindome import (
     DEFAULT_EARTH_RADIUS_KM,
     AntennaConfig,
@@ -101,7 +103,7 @@ class TestStartup:
             ["coverage", "--descriptor", str(undecodable)],
             ["count", "--descriptor", str(invalid)],
             ["--help"],
-        ], ["numpy", "dataclasses", "inspect"])
+        ], ["numpy", "sagindome._draw", "dataclasses", "inspect"])
         assert [code for _, code, _ in results] == [0, 0, 0, 0, 0, 2, 2, 0]
         assert [call for call, _, loaded in results if loaded] == []
 
@@ -111,25 +113,37 @@ class TestStartup:
             ["sweep", "--scenario", "s2g", "--space-altitude-km", "600",
              "--param", "min_elevation", "--from", "5", "--to", "30", "--steps", "6",
              "--output", str(grid)],
-        ], ["numpy", "sagindome.pointprocess", "dataclasses", "inspect"])
+        ], ["numpy", "sagindome.pointprocess", "sagindome._draw", "dataclasses", "inspect"])
         assert results[-1][1:] == [0, []]
         assert len(grid.read_text().splitlines()) == 7
 
     def test_sample_loads_no_sweeps(self, s2g_descriptor, tmp_path):
+        # A ~57-point draw fits one block and loads no numpy; a ~1 159-point
+        # draw does.
         points = tmp_path / "points.csv"
+        large = tmp_path / "large.json"
+        large.write_text(json.dumps(dict(S2G_DESCRIPTOR, density_per_km2=1e-4)))
         results = run_cli_probe([
             ["sample", "--descriptor", s2g_descriptor, "--output", str(points)],
-        ], ["numpy", "sagindome.sweeps"])
-        assert results[-1][1:] == [0, ["numpy"]]
-        assert points.read_text().startswith("x_km,y_km,z_km\n")
+            ["sample", "--descriptor", str(large), "--output", str(tmp_path / "large.csv")],
+        ], ["numpy", "sagindome.pointprocess", "sagindome.sweeps", "dataclasses", "inspect"])
+        assert results[-2][1:] == [0, []]
+        code, loaded = results[-1][1:]
+        assert code == 0 and loaded[:2] == ["numpy", "sagindome.pointprocess"]
+        assert "sagindome.sweeps" not in loaded
+        assert 0 < len(points.read_text().splitlines()) - 1 <= _BLOCK_ROWS
+        assert len((tmp_path / "large.csv").read_text().splitlines()) - 1 > _BLOCK_ROWS
 
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                         reason="counts threads through Linux's /proc/self/task")
     @pytest.mark.parametrize("user_value", [None, "2"])
-    def test_sample_process_blas_threads(self, s2g_descriptor, tmp_path, user_value):
+    def test_sample_process_blas_threads(self, tmp_path, user_value):
         # A sitecustomize module on the path reports, at exit of `python -m
-        # sagindome sample`, the process's threads and the variable.
+        # sagindome sample`, the process's threads and the variable.  The
+        # ~1 159-point draw is more than one block, so numpy is loaded.
+        descriptor = tmp_path / "large.json"
+        descriptor.write_text(json.dumps(dict(S2G_DESCRIPTOR, density_per_km2=1e-4)))
         hook = tmp_path / "hook"
         hook.mkdir()
         (hook / "sitecustomize.py").write_text(
@@ -146,10 +160,11 @@ class TestStartup:
         if user_value:
             env["OPENBLAS_NUM_THREADS"] = user_value
         completed = subprocess.run(
-            [sys.executable, "-m", "sagindome", "sample", "--descriptor", s2g_descriptor,
+            [sys.executable, "-m", "sagindome", "sample", "--descriptor", str(descriptor),
              "--output", str(tmp_path / "points.csv")],
             env=env, capture_output=True, text=True, timeout=120, check=False)
         assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout)["count"] > _BLOCK_ROWS
         threads, value = (tmp_path / "report").read_text().split()
         if user_value:
             assert value == user_value

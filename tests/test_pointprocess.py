@@ -34,10 +34,11 @@ from sagindome import (
     poisson_count,
     yaw_pitch_matrix,
 )
-from sagindome import pointprocess
-from sagindome.geometry import _require_vertex_angle
-from sagindome.pointprocess import _BLOCK_ROWS, MAX_SAMPLE_POINTS, _polar_angles
-from sagindome.scenarios import _sample_mode
+from sagindome import _draw, pointprocess
+from sagindome.geometry import LIGHT_SPEED_M_PER_S, AntennaConfig, _require_vertex_angle
+from sagindome.io import point_values_csv_chunks, points_blocks_csv_chunks
+from sagindome.pointprocess import _BLOCK_ROWS, MAX_SAMPLE_POINTS
+from sagindome.scenarios import ScenarioSpec, _sample_mode
 from cap_oracles import angular_distance, cap_center_direction
 from conftest import reference_spec
 
@@ -119,6 +120,35 @@ class TestPoissonCount:
             poisson_count(-1.0, 10.0, make_rng(0))
         with pytest.raises(InvalidParameterError):
             poisson_count(1.0, -10.0, make_rng(0))
+
+
+class TestScalarGenerator:
+    """``_draw.PCG64`` against numpy's ``Generator(PCG64(seed))``, which the
+    package's numpy path uses and the tests keep as the oracle."""
+
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63, 2 ** 64 - 1,
+             *(np.random.default_rng(2029).integers(0, 2 ** 64, 20, dtype=np.uint64).tolist())]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_doubles_equal_numpys(self, seed):
+        scalar = _draw.PCG64(seed)
+        assert [scalar.random() for _ in range(1000)] == make_rng(seed).random(1000).tolist()
+
+    @pytest.mark.parametrize("mean", [0, 1, 29, 30, 500, MAX_SAMPLE_POINTS - 1,
+                                      MAX_SAMPLE_POINTS])
+    def test_poisson_count_equal_through_both(self, mean):
+        # The same count, and the same uniform after it, at means on both
+        # sides of the switch to rejection and next to the cap.
+        for seed in range(40):
+            scalar, generator = _draw.PCG64(seed), make_rng(seed)
+            assert (poisson_count(1.0, mean + 0.5, scalar)
+                    == poisson_count(1.0, mean + 0.5, generator))
+            assert scalar.random() == generator.random()
+
+    def test_names_shared_with_pointprocess(self):
+        assert pointprocess.poisson_count is _draw.poisson_count
+        assert pointprocess.MAX_SAMPLE_POINTS == _draw.MAX_SAMPLE_POINTS
+        assert pointprocess.DEFAULT_RNG_ALGORITHM == _draw.DEFAULT_RNG_ALGORITHM == "pcg64"
 
 
 def _poisson_chi_square_pvalue(counts: np.ndarray, mean: int) -> float:
@@ -336,32 +366,46 @@ def sample_cap_angles(vertex_angle_rad: float, count: int, mode: SampleMode,
     Azimuths are uniform on [0, 2*pi) in both modes.  AREA_UNIFORM draws
     polar = arccos(1 - U * (1 - cos(phi))), evaluated in the equivalent
     cancellation-free form 2*arcsin(sqrt(U) * sin(phi/2)); PAPER_FAITHFUL
-    draws polar uniformly on [-phi, phi].
+    draws polar uniformly on [-phi, phi].  The package takes no polar angle
+    in AREA_UNIFORM mode, only its sine and cosine (``one_shot_points``).
     """
     _require_vertex_angle(vertex_angle_rad)
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count!r}")
     mode = _sample_mode(mode)
     azimuth = 2.0 * math.pi * rng.random(count)
-    return azimuth, _polar_angles(vertex_angle_rad, mode, rng.random(count))
+    uniforms = rng.random(count)
+    if mode is SampleMode.PAPER_FAITHFUL:
+        return azimuth, vertex_angle_rad * (2.0 * uniforms - 1.0)
+    return azimuth, 2.0 * np.arcsin(np.sqrt(uniforms) * math.sin(0.5 * vertex_angle_rad))
 
 
 def one_shot_points(dome: DomeGeometry, config: SampleConfig) -> np.ndarray:
-    """The draw ``generate`` makes, its angles drawn whole from one generator
-    in the stream's order, its points built as one column stack and rotated
-    by one matrix product over the whole draw.  The count comes through the
-    module, as in ``generate``, so that a test can fix it."""
+    """The draw ``generate`` makes, its uniforms drawn whole from one
+    generator in the stream's order and its points built and rotated over
+    the whole draw at once, apart from the package's formulas.  The polar
+    angle's sine and cosine are 2*s*sqrt(1 - s*s) and 1 - 2*s*s of
+    s = sqrt(U) * sin(phi/2) in AREA_UNIFORM mode, and each rotated
+    coordinate is the row-by-column sum of the rotation matrix and the point,
+    added left to right.  The count comes through the module, as in
+    ``generate``, so that a test can fix it."""
     rng = make_rng(config.seed)
     count = pointprocess.poisson_count(config.density_per_km2, dome.area_km2, rng)
-    azimuth, polar = sample_cap_angles(dome.vertex_angle_rad, count, config.mode, rng)
+    azimuth = 2.0 * math.pi * rng.random(count)
+    uniforms = rng.random(count)
+    phi = dome.vertex_angle_rad
+    if config.mode is SampleMode.PAPER_FAITHFUL:
+        polar = phi * (2.0 * uniforms - 1.0)
+        sin_polar, cos_polar = np.sin(polar), np.cos(polar)
+    else:
+        s = np.sqrt(uniforms) * math.sin(0.5 * phi)
+        sin_polar, cos_polar = 2.0 * s * np.sqrt(1.0 - s * s), 1.0 - 2.0 * s * s
     r_t = dome.transmitter_radius_km
-    sin_polar = np.sin(polar)
-    local = np.column_stack((
-        r_t * sin_polar * np.cos(azimuth),
-        r_t * sin_polar * np.sin(azimuth),
-        r_t * np.cos(polar),
-    ))
-    return local @ yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad).T
+    local = (r_t * sin_polar * np.cos(azimuth), r_t * sin_polar * np.sin(azimuth),
+             r_t * cos_polar)
+    m = yaw_pitch_matrix(config.rx_azimuth_rad, config.rx_polar_rad)
+    return np.column_stack([m[i, 0] * local[0] + m[i, 1] * local[1] + m[i, 2] * local[2]
+                            for i in range(3)])
 
 
 def oriented_config(density: float, mode: SampleMode, seed: int = 2024) -> SampleConfig:
@@ -418,15 +462,17 @@ print(json.dumps({"draws": draws, "differing": differing, "corename": corename})
 
 
 class TestBlockedBuild:
-    """``generate`` builds and rotates its points _BLOCK_ROWS at a time; the
-    bytes are those of the one-shot draw rotated by one product over the
-    whole draw, whatever the block size, since no block is a one-row tail."""
+    """``generate`` builds and rotates its points _BLOCK_ROWS at a time; each
+    point is computed on its own, with no matrix product, so the bytes are
+    those of the one-shot draw whatever the block size, one-row blocks and a
+    one-row last block included."""
 
     @MODES
     @pytest.mark.parametrize("block_rows, count", [
-        # Blocks of 2 and 7 rows put many block boundaries in a small draw;
-        # the block size and two larger ones show that the bytes do not
-        # follow it.
+        # Blocks of 1, 2 and 7 rows put many block boundaries in a small
+        # draw; the block size and two larger ones show that the bytes do
+        # not follow it.
+        *((1, count) for count in (0, 1, 2, 3)),
         *((2, count) for count in (0, 1, 2, 3, 4, 5, 2 * 9 + 1)),
         *((7, count) for count in (0, 1, 6, 7, 8, 13, 14, 15, 16, 7 * 9 + 3)),
         *((rows, count) for rows in (_BLOCK_ROWS, 2048, 4096)
@@ -446,8 +492,9 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("coretype, flag", [
         ("Nehalem", "sse4_2"), ("Sandybridge", "avx"), (None, None)])
     def test_same_bits_on_other_blas_kernels(self, coretype, flag):
-        # The default kernel here may use FMA; the older ones do not.  Each
-        # child compares draws ending on and next to boundaries of blocks of
+        # A sample makes no BLAS call, so no kernel may move its bits: the
+        # default kernel here may use FMA, the older ones do not.  Each child
+        # compares draws ending on and next to boundaries of blocks of
         # 2, 7 and _BLOCK_ROWS rows with the one-shot draw.
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         if "openblas" not in blas or platform.machine().lower() not in ("x86_64", "amd64"):
@@ -495,6 +542,100 @@ class TestBlockedBuild:
             tracemalloc.stop()
         assert topology.count > 190_000
         assert peak < 28 * topology.count
+
+
+def path_cases() -> list[tuple[str, DomeGeometry, SampleConfig]]:
+    """Domes, modes and orientations on which both paths of a draw are
+    compared: the s2g reference cap, a g2s cap under a 1e-5 rad beam, a cap
+    of nearly a hemisphere, and the s2g cap on Earth radii from 1 m to 1e12
+    km (its altitude scaled by the same factor, so that its angles stay)."""
+    s2g = reference_spec(Scenario.S2G)
+    # kappa * c / (f * D) degrees: 1e-5 rad at D = 4 m.
+    frequency = 70.0 * LIGHT_SPEED_M_PER_S / (4.0 * math.degrees(1e-5))
+    domes = {
+        "s2g": coverage(s2g),
+        "g2s-beam-1e-5": coverage(ScenarioSpec(
+            Scenario.G2S, space_altitude_km=20000.0, antenna=AntennaConfig(
+                illumination_coefficient=70.0, reflector_diameter_m=4.0,
+                carrier_frequency_hz=frequency))),
+        "hemisphere": DomeGeometry(6371.0, 12742.0, 0.5 * math.pi - 1e-9, False),
+        **{f"radius-{radius:g}": coverage(ScenarioSpec(
+            Scenario.S2G, space_altitude_km=600.0 * radius / 6371.0,
+            min_elevation_rad=s2g.min_elevation_rad, earth_radius_km=radius))
+           for radius in (1e-3, 0.5, 1e6, 1e12)},
+    }
+    return [(f"{name}-{mode.value}-{'oriented' if azimuth else 'pole'}", dome,
+             SampleConfig(density_per_km2=1.0, rx_azimuth_rad=azimuth, rx_polar_rad=polar,
+                          mode=mode, seed=2030))
+            for name, dome in domes.items() for mode in SampleMode
+            for azimuth, polar in ((0.0, 0.0), (2.4, 1.1))]
+
+
+# Counts from none to the threshold of the numpy-free path, _BLOCK_ROWS.
+PATH_COUNTS = (0, 1, 2, 57, 513, _BLOCK_ROWS - 1, _BLOCK_ROWS)
+
+
+def both_paths(dome: DomeGeometry, config: SampleConfig, count: int) -> tuple[str, str]:
+    """The CSV text of a draw of ``count`` points made without numpy
+    (``_draw.small_draw``), and made by ``point_blocks`` and ``rows_text``."""
+    saved = _draw.poisson_count, pointprocess.poisson_count
+    _draw.poisson_count = pointprocess.poisson_count = lambda *args: count
+    try:
+        drawn, values = _draw.small_draw(dome, config)
+        assert drawn == count
+        blocks = pointprocess.point_blocks(dome, config)[1]
+        return ("".join(point_values_csv_chunks(values)),
+                "".join(points_blocks_csv_chunks(blocks)))
+    finally:
+        _draw.poisson_count, pointprocess.poisson_count = saved
+
+
+# Compares both paths on every case and count, and prints the draws made and
+# the differing ones.
+_PATHS_CHILD = """
+import json
+from test_pointprocess import PATH_COUNTS, both_paths, path_cases
+draws, differing = 0, []
+for name, dome, config in path_cases():
+    for count in PATH_COUNTS:
+        draws += 1
+        small, blocks = both_paths(dome, config, count)
+        if small != blocks:
+            differing.append([name, count])
+print(json.dumps({"draws": draws, "differing": differing}))
+"""
+
+
+class TestSmallDraw:
+    """A draw that fits one block is made without numpy, with the bytes of
+    the numpy blocks."""
+
+    @pytest.mark.parametrize("dome, config", [
+        pytest.param(dome, config, id=name) for name, dome, config in path_cases()])
+    def test_same_bytes_as_the_blocks(self, dome, config):
+        for count in PATH_COUNTS:
+            small, blocks = both_paths(dome, config, count)
+            assert small.count("\n") == count + 1
+            assert small == blocks, count
+
+    def test_larger_draws_are_left_to_numpy(self, s2g_spec, monkeypatch):
+        monkeypatch.setattr(_draw, "poisson_count", lambda *args: _BLOCK_ROWS + 1)
+        assert _draw.small_draw(coverage(s2g_spec), oriented_config(1.0, SampleMode.AREA_UNIFORM)) \
+            == (_BLOCK_ROWS + 1, None)
+
+    def test_same_bytes_without_simd_dispatch(self):
+        # numpy's SIMD loops held to its baseline: its sqrt, sin and cos still
+        # give libm's bits, so the blocks still equal the numpy-free path.
+        from test_byte_corpus import _cpu_dispatch
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(pointprocess.__file__).parents[1]), str(Path(__file__).parent)]),
+            NPY_DISABLE_CPU_FEATURES=" ".join(_cpu_dispatch()))
+        child = subprocess.run([sys.executable, "-c", _PATHS_CHILD], env=env,
+                               capture_output=True, text=True, timeout=300, check=False)
+        assert child.returncode == 0, child.stderr
+        result = json.loads(child.stdout)
+        assert result == {"draws": len(path_cases()) * len(PATH_COUNTS), "differing": []}
 
 
 class TestAngularDistance:
